@@ -333,7 +333,7 @@ def _assemble_reference(
         r_i = off_arr + gate_idx[name]
         if nl.nets[gate.output].is_primary_output:
             add_row([(r_i, 1.0), (idx_T, -1.0)], -inf, 0.0)
-        for succ in set(nl.fanout_gates(name)):
+        for succ in dict.fromkeys(nl.fanout_gates(name)):
             if not is_seq[succ]:
                 continue
             wire = baseline.wire_delay.get((name, succ), 0.0)
@@ -422,19 +422,20 @@ def _design_arrays(ctx) -> _DesignArrays:
     lib = ctx.library
     place = ctx.placement
     baseline = ctx.baseline
+    graph = ctx.graph
 
+    # rows follow nl.gates order; the graph is in topological order
     names = list(nl.gates)
-    index = {name: i for i, name in enumerate(names)}
     n = len(names)
+    graph_id = np.array([graph.index[name] for name in names])
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[graph_id] = np.arange(n)
     masters = [nl.gates[name].master for name in names]
 
     x = np.empty(n)
     y = np.empty(n)
     for i, name in enumerate(names):
         x[i], y[i] = place.location(name)
-    is_seq = np.array(
-        [lib.cell(m).is_sequential for m in masters], dtype=bool
-    )
     t0 = np.array([baseline.gate_delay[name] for name in names])
 
     # delay fits: batch the nearest-table-entry lookup per master, then
@@ -481,63 +482,49 @@ def _design_arrays(ctx) -> _DesignArrays:
         beta[i] = fit.beta
         gamma[i] = fit.gamma
 
-    # timing arcs (deduplicated per (driver, sink), in input-pin order)
-    # and primary-input flags, mirroring the reference row enumeration
-    wire_delay = baseline.wire_delay
-    has_pi = np.zeros(n, dtype=bool)
-    arc_src, arc_snk, arc_wire = [], [], []
-    for gid, name in enumerate(names):
-        if is_seq[gid]:
-            continue
-        gate = nl.gates[name]
-        seen: set = set()
-        pi = False
-        for net_name in gate.inputs:
-            drv = nl.nets[net_name].driver
-            if drv is None:
-                pi = True
-                continue
-            if drv in seen:
-                continue
-            seen.add(drv)
-            arc_src.append(index[drv])
-            arc_snk.append(gid)
-            arc_wire.append(wire_delay.get((drv, name), 0.0))
-        has_pi[gid] = pi
+    # timing arcs: the graph's real fanin arcs, one per (driver, sink)
+    # in pin order, grouped by sink in row order
+    real = graph.real_fi
+    src = row_of[graph.fi_src[real]]
+    snk = row_of[graph.fi_sink[real]]
+    wire = graph.fanin_wire(baseline.wire_delay)[real]
+    keep = np.sort(np.unique(snk * n + src, return_index=True)[1])
+    keep = keep[np.argsort(snk[keep], kind="stable")]
 
-    # endpoint rows: PO drivers (rhs 0) and FF D-pin fanin (rhs
-    # -wire - setup), in per-gate order
-    ep_gid, ep_u = [], []
-    for gid, name in enumerate(names):
-        gate = nl.gates[name]
-        if nl.nets[gate.output].is_primary_output:
-            ep_gid.append(gid)
-            ep_u.append(0.0)
-        for succ in set(nl.fanout_gates(name)):
-            if not is_seq[index[succ]]:
-                continue
-            wire = wire_delay.get((name, succ), 0.0)
-            setup = lib.cell(nl.gate(succ).master).setup_ns
-            ep_gid.append(gid)
-            ep_u.append(-wire - setup)
+    # endpoint rows: per driver in row order, its PO row, then one row
+    # per flop it feeds, in first-occurrence fanout order (a flop's rank
+    # is its driver's first fanout arc to it; POs rank below, negative)
+    ep_src, ep_offset = graph.endpoints(baseline.wire_delay)
+    fo = graph.fo_succ >= 0
+    fo_keys, fo_first = np.unique(
+        graph.fo_owner[fo] * n + graph.fo_succ[fo], return_index=True
+    )
+    n_po = len(graph.po_ids)
+    rank = np.concatenate([
+        -1 - np.arange(n_po),
+        fo_first[np.searchsorted(fo_keys, graph.ff_src * n + graph.ff_gate)],
+    ])
+    ep_row = row_of[ep_src]
+    ep = np.unique(rank, return_index=True)[1]
+    ep = ep[np.lexsort((rank[ep], ep_row[ep]))]
 
     arrs = _DesignArrays(
         names=names,
         x=x,
         y=y,
-        is_seq=is_seq,
-        has_pi=has_pi,
+        is_seq=graph.is_seq[graph_id],
+        has_pi=graph.has_pi[graph_id],
         t0=t0,
         fit_a=fit_a,
         fit_b=fit_b,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        arc_src=np.asarray(arc_src, dtype=np.int64),
-        arc_snk=np.asarray(arc_snk, dtype=np.int64),
-        arc_wire=np.asarray(arc_wire, dtype=float),
-        ep_gid=np.asarray(ep_gid, dtype=np.int64),
-        ep_u=np.asarray(ep_u, dtype=float),
+        arc_src=src[keep],
+        arc_snk=snk[keep],
+        arc_wire=wire[keep],
+        ep_gid=ep_row[ep],
+        ep_u=0.0 - ep_offset[ep],
     )
     ctx.__dict__["_formulate_design_arrays"] = arrs
     return arrs

@@ -12,7 +12,7 @@ from repro.fitting import DelayFitter, LeakageFitter
 from repro.netlist.designs import DesignBundle, make_design
 from repro.placement import place_design
 from repro.power import total_leakage
-from repro.sta import make_analyzer
+from repro.sta import CompiledTimingGraph, make_analyzer
 
 
 class DesignContext:
@@ -54,8 +54,11 @@ class DesignContext:
             bundle, seed=seed
         )
         self.sta_backend = sta_backend
+        #: The timing graph every timing consumer reads (any backend).
+        self.graph = CompiledTimingGraph(self.netlist, self.library)
         self.analyzer = make_analyzer(
-            self.netlist, self.library, self.placement, backend=sta_backend
+            self.netlist, self.library, self.placement, backend=sta_backend,
+            graph=self.graph,
         )
         #: Golden STA at nominal dose.
         self.baseline = self.analyzer.analyze()
@@ -197,10 +200,9 @@ class DesignContext:
         """
         if placement is None or placement is self.placement:
             return self.analyzer
-        if hasattr(self.analyzer, "rebind"):
-            return self.analyzer.rebind(placement)
         return make_analyzer(
-            self.netlist, self.library, placement, backend=self.sta_backend
+            self.netlist, self.library, placement, backend=self.sta_backend,
+            graph=self.graph,
         )
 
     def trial_timer(self, placement):

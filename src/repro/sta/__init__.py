@@ -39,13 +39,15 @@ _BACKENDS = {
 }
 
 
-def make_analyzer(netlist, library, placement, backend: str = None, **kwargs):
+def make_analyzer(netlist, library, placement, backend: str = None,
+                  graph: CompiledTimingGraph = None, **kwargs):
     """Construct an STA engine for the requested backend.
 
     ``backend`` defaults to :data:`DEFAULT_STA_BACKEND`.  Both engines
     share the ``analyze(doses, clock_period) -> TimingResult`` contract;
     only the ``vector`` engine additionally offers ``rebind``,
-    ``update_placement`` and ``trial_mct``.
+    ``update_placement`` and ``trial_mct``.  The ``vector`` engine
+    reuses ``graph`` if given; the ``reference`` engine ignores it.
     """
     name = DEFAULT_STA_BACKEND if backend is None else backend
     try:
@@ -54,6 +56,8 @@ def make_analyzer(netlist, library, placement, backend: str = None, **kwargs):
         raise ValueError(
             f"unknown STA backend {name!r}; expected one of {sorted(_BACKENDS)}"
         ) from None
+    if cls is VectorTimingAnalyzer:
+        kwargs["graph"] = graph
     return cls(netlist, library, placement, **kwargs)
 
 

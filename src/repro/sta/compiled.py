@@ -179,13 +179,15 @@ class CompiledTimingGraph:
 
         # ---- levels -------------------------------------------------
         level = np.zeros(n, dtype=np.int64)
+        #: per gate: has a primary-input pin (rides on the virtual arc)
+        self.has_pi = np.zeros(n, dtype=bool)
         for i, name in enumerate(names):
-            if self.is_seq[i]:
-                continue
             best = 0
             for net_name in netlist.gates[name].inputs:
                 drv = netlist.nets[net_name].driver
-                if drv is not None:
+                if drv is None:
+                    self.has_pi[i] = True
+                elif not self.is_seq[i]:
                     best = max(best, int(level[self.index[drv]]) + 1)
             level[i] = best
         self.level = level
@@ -325,6 +327,46 @@ class CompiledTimingGraph:
         self.nominal_vids = np.array(
             [self.stack.vid(m, 0.0, 0.0) for m in self.masters], dtype=np.int64
         )
+
+    def fanin_wire(self, wire_delay: dict) -> np.ndarray:
+        """Per fanin arc wire delay (ns) from a ``TimingResult.wire_delay``."""
+        wd = np.zeros(len(self.fi_src))
+        wd[self.real_fi] = [wire_delay.get(k, 0.0) for k in self.wd_keys_fi]
+        return wd
+
+    def endpoints(self, wire_delay: dict):
+        """Every timing endpoint as (driver gate ids, offsets), PO then FF.
+
+        Where a path ends at nominal dose: a primary output at its
+        driver's arrival, a flop D pin at the driver's arrival plus the
+        arc's wire delay plus the flop's setup time.
+        """
+        setup = self.stack.arrays()[5][self.nominal_vids[self.ff_gate]]
+        wd = np.array([wire_delay.get(k, 0.0) for k in self.wd_keys_ff])
+        src = np.concatenate([self.po_ids, self.ff_src])
+        offset = np.concatenate([np.zeros(len(self.po_ids)), wd + setup])
+        return src, offset
+
+    def fanin_slots(self, lead=None) -> list:
+        """Per level ``(gate ids, arc counts, slot arcs)`` for pin-slot folds.
+
+        A gate's arcs are its real fanin arcs in pin order, led by its
+        virtual arc where the per-gate mask ``lead`` is set; row j of
+        ``slot arcs`` is each gate's j-th arc, or its virtual arc past
+        its count.
+        """
+        start = self.fi_ptr[:-1]
+        first = start + 1
+        if lead is not None:
+            first = first - lead[self.perm]
+        count = self.fi_ptr[1:] - first
+        slots = []
+        for lo, hi in self.level_slices:
+            c = count[lo:hi]
+            j = np.arange(int(c.max()))[:, None]
+            arcs = np.where(j < c, first[lo:hi] + j, start[lo:hi])
+            slots.append((self.perm[lo:hi], c, arcs))
+        return slots
 
     def vids_for(self, doses) -> np.ndarray:
         """Per-gate variant-id array for a dose assignment dict."""

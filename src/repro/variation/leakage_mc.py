@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tech import device
+from repro.variation.montecarlo import gate_dose_shift_nm
 
 
 class LeakageMonteCarlo:
@@ -29,44 +30,32 @@ class LeakageMonteCarlo:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        nl = ctx.netlist
+        self.graph = ctx.graph
         lib = ctx.library
         self.node = lib.node
-        order = nl.topological_order(lib)
-        self._order = order
-        masters = [lib.cell(nl.gates[g].master) for g in order]
+        masters = [lib.cell(m) for m in self.graph.masters]
         self._w_n = np.array([m.w_n for m in masters])
         self._w_p = np.array([m.w_p for m in masters])
         self._stack_n = np.array([float(m.stack_n) for m in masters])
         self._stack_p = np.array([float(m.stack_p) for m in masters])
         self._leak_states = np.array([m.leak_states for m in masters])
 
-    def _gate_dose_shift_nm(self, dose_map) -> np.ndarray:
-        if dose_map is None:
-            return np.zeros(len(self._order))
-        lib = self.ctx.library
-        place = self.ctx.placement
-        return np.array(
-            [
-                lib.dose_to_dl(dose_map.dose_of_gate(place, g))
-                for g in self._order
-            ]
-        )
-
     def leakage_samples(self, dl_nm: np.ndarray, dose_map=None) -> np.ndarray:
         """Total chip leakage (uW) per sample.
 
-        ``dl_nm`` has shape (n_samples, n_gates) in topological order
-        (compatible with :meth:`TimingMonteCarlo.sample_dl`).
+        ``dl_nm`` has shape (n_samples, n_gates) in the graph's
+        topological gate order (compatible with
+        :meth:`TimingMonteCarlo.sample_dl`).
         """
         dl_nm = np.atleast_2d(np.asarray(dl_nm, dtype=float))
-        if dl_nm.shape[1] != len(self._order):
+        if dl_nm.shape[1] != self.graph.n:
             raise ValueError(
                 f"dl matrix has {dl_nm.shape[1]} gate columns, design has "
-                f"{len(self._order)}"
+                f"{self.graph.n}"
             )
         node = self.node
-        lengths = node.l_nominal + dl_nm + self._gate_dose_shift_nm(dose_map)
+        shift = gate_dose_shift_nm(self.ctx, dose_map)
+        lengths = node.l_nominal + dl_nm + shift
         lengths = np.maximum(lengths, 1.0)
         i_n = device.leakage_current(node, lengths, self._w_n) / self._stack_n
         i_p = device.leakage_current(node, lengths, self._w_p) / self._stack_p
@@ -75,7 +64,7 @@ class LeakageMonteCarlo:
 
     def nominal_leakage(self) -> float:
         """Zero-variation total (sanity anchor to the golden analysis)."""
-        return float(self.leakage_samples(np.zeros((1, len(self._order))))[0])
+        return float(self.leakage_samples(np.zeros((1, self.graph.n)))[0])
 
 
 def leakage_statistics(samples: np.ndarray) -> dict:

@@ -9,9 +9,10 @@ sample through a **linearized timing model** (per-gate delay
 ``t0 + A_p * dL``, the same first-order model DMopt optimizes), and
 report ``yield(T) = P(MCT <= T)`` with and without an optimized dose map.
 
-The linearized evaluation is vectorized across samples -- one topological
-sweep evaluates every Monte Carlo sample simultaneously -- so thousands
-of chips cost about as much as one golden STA pass.
+The linearized evaluation sweeps the design's compiled timing graph
+level by level with a samples axis -- one NumPy fold per level and pin
+slot evaluates every Monte Carlo sample at once -- so thousands of chips
+cost about as much as one golden STA pass.
 """
 
 from __future__ import annotations
@@ -45,58 +46,60 @@ class VariationModel:
     seed: int = 42
 
 
-class TimingMonteCarlo:
+def gate_dose_shift_nm(ctx, dose_map) -> np.ndarray:
+    """Per-gate printed dL (nm) a dose map induces, in graph gate order."""
+    names = ctx.graph.names
+    if dose_map is None:
+        return np.zeros(len(names))
+    lib = ctx.library
+    place = ctx.placement
+    return np.array(
+        [lib.dose_to_dl(dose_map.dose_of_gate(place, g)) for g in names]
+    )
+
+
+class _LinearTiming:
+    """The linearized timing model on a context's compiled timing graph.
+
+    Per gate, in graph order: nominal delay ``t0`` and delay sensitivity
+    ``A_p`` (ns per nm of gate length) at the baseline operating point;
+    per fanin arc, the baseline wire delay; and the endpoint table.
+    """
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        g = self.graph = ctx.graph
+        baseline = ctx.baseline
+        self._t0 = np.array([baseline.gate_delay[name] for name in g.names])
+        self._a = np.array([ctx.delay_fit_for(name).a for name in g.names])
+        self._arc_wire = g.fanin_wire(baseline.wire_delay)
+        self._ep_src, self._ep_offset = g.endpoints(baseline.wire_delay)
+
+    def _correlation_grids(self, model: VariationModel):
+        """The model's correlation-grid partition and each gate's grid."""
+        place = self.ctx.placement
+        part = GridPartition(
+            place.die.width, place.die.height, model.correlation_grid_um
+        )
+        assign = part.assign_gates(place)
+        return part, np.array([assign[g] for g in self.graph.names])
+
+
+class TimingMonteCarlo(_LinearTiming):
     """Vectorized linearized-timing Monte Carlo engine for one design.
 
     Parameters
     ----------
     ctx:
         A :class:`~repro.core.model.DesignContext`; its baseline STA
-        supplies per-gate nominal delays, delay sensitivities (A_p), arc
-        wire delays and the DAG.
+        supplies per-gate nominal delays, delay sensitivities (A_p) and
+        arc wire delays, its compiled timing graph the levels, fanin
+        arcs and endpoints.
     """
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        nl = ctx.netlist
-        lib = ctx.library
-        baseline = ctx.baseline
-        order = nl.topological_order(lib)
-        self._order = order
-        self._index = {name: i for i, name in enumerate(order)}
-        self._t0 = np.array([baseline.gate_delay[g] for g in order])
-        self._a = np.array([ctx.delay_fit_for(g).a for g in order])
-        is_seq = {
-            name: lib.cell(g.master).is_sequential
-            for name, g in nl.gates.items()
-        }
-        # fanin arcs per gate: (driver index, wire delay); None driver = PI
-        arcs = []
-        endpoints = []  # (gate index, extra delay) contributing to MCT
-        for name in order:
-            gate = nl.gates[name]
-            fanins = []
-            if not is_seq[name]:
-                for net_name in gate.inputs:
-                    drv = nl.nets[net_name].driver
-                    if drv is not None:
-                        wd = baseline.wire_delay.get((drv, name), 0.0)
-                        fanins.append((self._index[drv], wd))
-            arcs.append(fanins)
-            if nl.nets[gate.output].is_primary_output:
-                endpoints.append((self._index[name], 0.0))
-        for name in order:
-            if not is_seq[name]:
-                continue
-            gate = nl.gates[name]
-            setup = lib.cell(gate.master).setup_ns
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is not None:
-                    wd = baseline.wire_delay.get((drv, name), 0.0)
-                    endpoints.append((self._index[drv], wd + setup))
-        self._arcs = arcs
-        self._endpoints = endpoints
+        super().__init__(ctx)
+        self._slots = self.graph.fanin_slots()
 
     # ------------------------------------------------------------------
     def sample_dl(self, model: VariationModel, n_samples: int) -> np.ndarray:
@@ -104,71 +107,56 @@ class TimingMonteCarlo:
         if n_samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(model.seed)
-        n_gates = len(self._order)
+        n_gates = self.graph.n
         dl = model.sigma_random_nm * rng.standard_normal((n_samples, n_gates))
         if model.sigma_systematic_nm > 0:
-            place = self.ctx.placement
-            part = GridPartition(
-                place.die.width, place.die.height, model.correlation_grid_um
-            )
-            assign = part.assign_gates(place)
-            grid_of_gate = np.array(
-                [assign[g] for g in self._order], dtype=int
-            )
+            part, grid_of_gate = self._correlation_grids(model)
             sys = model.sigma_systematic_nm * rng.standard_normal(
                 (n_samples, part.n_grids)
             )
             dl += sys[:, grid_of_gate]
         return dl
 
-    def _gate_dose_shift_nm(self, dose_map) -> np.ndarray:
-        """Per-gate printed dL (nm) induced by a dose map."""
-        if dose_map is None:
-            return np.zeros(len(self._order))
-        lib = self.ctx.library
-        place = self.ctx.placement
-        return np.array(
-            [
-                lib.dose_to_dl(dose_map.dose_of_gate(place, g))
-                for g in self._order
-            ]
-        )
-
     def mct_samples(self, dl_nm: np.ndarray, dose_map=None) -> np.ndarray:
         """MCT (ns) of each variation sample, optionally under a dose map.
 
-        ``dl_nm`` has shape (n_samples, n_gates) in topological gate
-        order (as produced by :meth:`sample_dl`).
+        ``dl_nm`` has shape (n_samples, n_gates) in the graph's
+        topological gate order (as produced by :meth:`sample_dl`).
         """
+        g = self.graph
         dl_nm = np.atleast_2d(np.asarray(dl_nm, dtype=float))
-        if dl_nm.shape[1] != len(self._order):
+        if dl_nm.shape[1] != g.n:
             raise ValueError(
                 f"dl matrix has {dl_nm.shape[1]} gate columns, design has "
-                f"{len(self._order)}"
+                f"{g.n}"
             )
-        total_dl = dl_nm + self._gate_dose_shift_nm(dose_map)[None, :]
-        delays = np.maximum(self._t0[None, :] + self._a[None, :] * total_dl, 0.0)
+        n_samples = dl_nm.shape[0]
+        # gates x samples: t0 + A_p * (dL + dose shift), clamped at 0,
+        # built in place (no sample-sized temporaries)
+        delays = np.empty((g.n, n_samples))
+        np.add(dl_nm.T, gate_dose_shift_nm(self.ctx, dose_map)[:, None],
+               out=delays)
+        delays *= self._a[:, None]
+        delays += self._t0[:, None]
+        np.maximum(delays, 0.0, out=delays)
 
-        n = dl_nm.shape[0]
-        arrival = np.zeros((n, len(self._order)))
-        for gi in range(len(self._order)):
-            fanins = self._arcs[gi]
-            if fanins:
-                best = arrival[:, fanins[0][0]] + fanins[0][1]
-                for drv, wd in fanins[1:]:
-                    np.maximum(best, arrival[:, drv] + wd, out=best)
-                arrival[:, gi] = best + delays[:, gi]
-            else:
-                arrival[:, gi] = delays[:, gi]
-
-        mct = np.zeros(n)
-        for gi, extra in self._endpoints:
-            np.maximum(mct, arrival[:, gi] + extra, out=mct)
-        return mct
+        # row n is the zero arrival the virtual PI arcs (src -1) read
+        arrival = np.zeros((g.n + 1, n_samples))
+        for ids, _count, arcs in self._slots:
+            best = np.zeros((len(ids), n_samples))
+            for arc in arcs:
+                np.maximum(
+                    best,
+                    arrival[g.fi_src[arc]] + self._arc_wire[arc, None],
+                    out=best,
+                )
+            arrival[ids] = best + delays[ids]
+        ends = arrival[self._ep_src] + self._ep_offset[:, None]
+        return np.max(ends, axis=0, initial=0.0)
 
     def nominal_mct(self) -> float:
         """MCT of the linearized model at zero variation (sanity anchor)."""
-        return float(self.mct_samples(np.zeros((1, len(self._order))))[0])
+        return float(self.mct_samples(np.zeros((1, self.graph.n)))[0])
 
 
 def timing_yield(mct_samples: np.ndarray, clock_period: float) -> float:

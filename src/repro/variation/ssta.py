@@ -24,20 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dosemap import GridPartition
-from repro.variation.montecarlo import VariationModel
+from repro.variation.montecarlo import (
+    VariationModel,
+    _LinearTiming,
+    gate_dose_shift_nm,
+)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+#: ``math.erf`` element-wise (``scipy.special.erf`` differs from it in
+#: the last bits, which the Clark fold amplifies in the private sigma)
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def _phi(x: float) -> float:
-    """Standard normal pdf."""
-    return math.exp(-0.5 * x * x) / _SQRT2PI
-
-
-def _cap_phi(x: float) -> float:
-    """Standard normal cdf."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+def _cap_phi(x):
+    """Standard normal cdf, element-wise."""
+    return 0.5 * (1.0 + np.asarray(_erf(x / math.sqrt(2.0)), dtype=float))
 
 
 @dataclass
@@ -56,9 +57,6 @@ class CanonicalDelay:
     def sigma(self) -> float:
         return math.sqrt(max(self.variance, 0.0))
 
-    def shifted(self, delta_mean: float) -> "CanonicalDelay":
-        return CanonicalDelay(self.mean + delta_mean, self.sens, self.rand)
-
     def plus(self, other: "CanonicalDelay") -> "CanonicalDelay":
         """Exact sum (private parts are independent)."""
         return CanonicalDelay(
@@ -74,32 +72,51 @@ class CanonicalDelay:
         return float(self.mean + self.sigma * norm.ppf(q))
 
 
+def _rowdot(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _clark_max_rows(a, b):
+    """Clark's moment-matched MAX, row by row.
+
+    ``a`` and ``b`` are canonical arrays ``(mean (m,), sens (m, K),
+    rand (m,))``; returns the same for the m row-wise maxima.
+    """
+    a_mean, a_sens, a_rand = a
+    b_mean, b_sens, b_rand = b
+    var_a = _rowdot(a_sens, a_sens) + a_rand * a_rand
+    var_b = _rowdot(b_sens, b_sens) + b_rand * b_rand
+    cov = _rowdot(a_sens, b_sens)  # private parts are independent
+    theta = np.sqrt(np.maximum(var_a + var_b - 2.0 * cov, 1e-30))
+    alpha = (a_mean - b_mean) / theta
+    p = _cap_phi(alpha)
+    d = np.exp(-0.5 * alpha * alpha) / _SQRT2PI
+
+    mean = a_mean * p + b_mean * (1.0 - p) + theta * d
+    second = (
+        (var_a + a_mean**2) * p
+        + (var_b + b_mean**2) * (1.0 - p)
+        + (a_mean + b_mean) * theta * d
+    )
+    var = np.maximum(second - mean * mean, 0.0)
+
+    sens = p[:, None] * a_sens + (1.0 - p)[:, None] * b_sens
+    resid = var - _rowdot(sens, sens)
+    rand = np.sqrt(np.maximum(resid, 0.0))
+    return mean, sens, rand
+
+
 def clark_max(a: CanonicalDelay, b: CanonicalDelay) -> CanonicalDelay:
     """Clark's moment-matched MAX of two canonical variables."""
-    var_a, var_b = a.variance, b.variance
-    cov = float(a.sens @ b.sens)  # private parts are independent
-    theta2 = max(var_a + var_b - 2.0 * cov, 1e-30)
-    theta = math.sqrt(theta2)
-    alpha = (a.mean - b.mean) / theta
-    p = _cap_phi(alpha)
-    d = _phi(alpha)
-
-    mean = a.mean * p + b.mean * (1.0 - p) + theta * d
-    second = (
-        (var_a + a.mean**2) * p
-        + (var_b + b.mean**2) * (1.0 - p)
-        + (a.mean + b.mean) * theta * d
+    mean, sens, rand = _clark_max_rows(
+        (np.array([a.mean]), a.sens[None, :], np.array([a.rand])),
+        (np.array([b.mean]), b.sens[None, :], np.array([b.rand])),
     )
-    var = max(second - mean * mean, 0.0)
-
-    sens = p * a.sens + (1.0 - p) * b.sens
-    resid = var - float(sens @ sens)
-    rand = math.sqrt(resid) if resid > 0 else 0.0
-    return CanonicalDelay(mean, sens, rand)
+    return CanonicalDelay(float(mean[0]), sens[0], float(rand[0]))
 
 
-class SSTA:
-    """Block-based SSTA over a design context.
+class SSTA(_LinearTiming):
+    """Block-based SSTA over a design context's timing graph.
 
     Parameters
     ----------
@@ -111,89 +128,59 @@ class SSTA:
     """
 
     def __init__(self, ctx, model: VariationModel):
-        self.ctx = ctx
+        super().__init__(ctx)
         self.model = model
-        nl = ctx.netlist
-        lib = ctx.library
-        place = ctx.placement
-        self._order = nl.topological_order(lib)
-        part = GridPartition(
-            place.die.width, place.die.height, model.correlation_grid_um
-        )
-        self.partition = part
-        assign = part.assign_gates(place)
-        self._grid_of = {g: assign[g] for g in self._order}
-        self._n_sources = part.n_grids
-        self._is_seq = {
-            g: lib.cell(nl.gates[g].master).is_sequential for g in self._order
-        }
-
-    def _gate_delay_canonical(self, name: str, dose_map=None) -> CanonicalDelay:
-        ctx = self.ctx
-        a = ctx.delay_fit_for(name).a  # ns per nm of gate length
-        t0 = ctx.baseline.gate_delay[name]
-        if dose_map is not None:
-            dl = ctx.library.dose_to_dl(
-                dose_map.dose_of_gate(ctx.placement, name)
-            )
-            t0 = max(t0 + a * dl, 0.0)
-        sens = np.zeros(self._n_sources)
-        sens[self._grid_of[name]] = a * self.model.sigma_systematic_nm
-        rand = abs(a) * self.model.sigma_random_nm
-        return CanonicalDelay(t0, sens, rand)
+        self.partition, self._grid = self._correlation_grids(model)
+        # each gate folds its fanin arcs in pin order, led by the virtual
+        # arc's zero arrival only when it has a PI pin
+        self._slots = self.graph.fanin_slots(lead=self.graph.has_pi)
 
     def analyze(self, dose_map=None) -> CanonicalDelay:
         """Propagate canonical arrivals; returns the chip MCT variable."""
-        ctx = self.ctx
-        nl = ctx.netlist
-        lib = ctx.library
-        wire = ctx.baseline.wire_delay
-        zero = CanonicalDelay(0.0, np.zeros(self._n_sources), 0.0)
+        g = self.graph
+        d_mean = self._t0
+        if dose_map is not None:
+            d_mean = np.maximum(
+                d_mean + self._a * gate_dose_shift_nm(self.ctx, dose_map), 0.0
+            )
+        d_sys = self._a * self.model.sigma_systematic_nm
+        d_rand = np.abs(self._a) * self.model.sigma_random_nm
 
-        arrival: dict = {}
-        for name in self._order:
-            gate = nl.gates[name]
-            delay = self._gate_delay_canonical(name, dose_map)
-            if self._is_seq[name]:
-                arrival[name] = delay
-                continue
-            best = None
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is None:
-                    pin = zero
-                else:
-                    pin = arrival[drv].shifted(wire.get((drv, name), 0.0))
-                best = pin if best is None else clark_max(best, pin)
-            base = best if best is not None else zero
-            arrival[name] = base.plus(delay)
+        # row n is the zero arrival the virtual PI arcs (src -1) read
+        k = self.partition.n_grids
+        mean = np.zeros(g.n + 1)
+        sens = np.zeros((g.n + 1, k))
+        rand = np.zeros(g.n + 1)
+        for ids, count, arcs in self._slots:
+            m = len(ids)
+            b_mean, b_sens, b_rand = np.zeros(m), np.zeros((m, k)), np.zeros(m)
+            for slot, arc in enumerate(arcs):
+                rows = np.nonzero(count > slot)[0]
+                arc = arc[rows]
+                src = g.fi_src[arc]
+                pin = (mean[src] + self._arc_wire[arc], sens[src], rand[src])
+                if slot:
+                    pin = _clark_max_rows(
+                        (b_mean[rows], b_sens[rows], b_rand[rows]), pin
+                    )
+                b_mean[rows], b_sens[rows], b_rand[rows] = pin
+            mean[ids] = b_mean + d_mean[ids]
+            b_sens[np.arange(m), self._grid[ids]] += d_sys[ids]
+            sens[ids] = b_sens
+            rand[ids] = np.hypot(b_rand, d_rand[ids])
 
-        mct = None
-        for name in self._order:
-            gate = nl.gates[name]
-            if nl.nets[gate.output].is_primary_output:
-                cand = arrival[name]
-                mct = cand if mct is None else clark_max(mct, cand)
-        for name in self._order:
-            if not self._is_seq[name]:
-                continue
-            gate = nl.gates[name]
-            setup = lib.cell(gate.master).setup_ns
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is None:
-                    continue
-                cand = arrival[drv].shifted(
-                    wire.get((drv, name), 0.0) + setup
-                )
-                mct = cand if mct is None else clark_max(mct, cand)
-        if mct is None:
+        src = self._ep_src
+        if not len(src):
             raise ValueError("design has no timing endpoints")
-        return mct
+        ends = (mean[src] + self._ep_offset, sens[src], rand[src])
+        mct = tuple(x[:1] for x in ends)
+        for e in range(1, len(src)):
+            mct = _clark_max_rows(mct, tuple(x[e : e + 1] for x in ends))
+        return CanonicalDelay(float(mct[0][0]), mct[1][0], float(mct[2][0]))
 
 
 def ssta_timing_yield(mct: CanonicalDelay, clock_period: float) -> float:
     """P(MCT <= T) under the Gaussian canonical model."""
     if mct.sigma == 0:
         return 1.0 if mct.mean <= clock_period else 0.0
-    return _cap_phi((clock_period - mct.mean) / mct.sigma)
+    return float(_cap_phi((clock_period - mct.mean) / mct.sigma))

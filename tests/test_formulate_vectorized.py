@@ -213,3 +213,83 @@ class TestFormulationCacheRetarget:
         f2 = aes_ctx.formulation_for(10.0, seam_smoothness=True)
         assert f1.A.shape[0] < f2.A.shape[0]
         assert aes_ctx.formulation_for(10.0).A is f1.A
+
+
+def _flop_fanout_context(lib):
+    """One driver feeding a PO and five flops (one of them on two pins).
+
+    The flops' endpoint rows share that driver, so their order is the
+    order the backends enumerate the driver's fanout in.
+    """
+    nl = Netlist("flopfan")
+    for pi in ("a", "b"):
+        nl.add_primary_input(pi)
+    nl.add_gate("drv", "NAND2X1", ["a", "b"], "d")
+    nl.add_primary_output("d")
+    for k in range(4):
+        nl.add_gate(f"ff{k}", "DFFX1", ["d"], f"q{k}")
+    nl.add_gate("ffr", "DFFRX1", ["d", "d"], "qr")  # D and R on one net
+    nl.add_gate("late", "NAND2X1", ["q0", "a"], "o0")  # PI on pin 1
+    nl.add_gate("dup", "NOR2X1", ["q1", "q1"], "o1")  # one arc, two pins
+    for net in ("o0", "o1", "q2", "q3", "qr"):
+        nl.add_primary_output(net)
+    bundle = DesignBundle(
+        name="flopfan", netlist=nl, library=lib,
+        die_width=20.0, die_height=5.4,
+    )
+    return DesignContext(bundle)
+
+
+_ROW_ORDER_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.library import CellLibrary
+from repro.core.formulate import build_formulation
+from tests.test_formulate_vectorized import _flop_fanout_context
+
+ctx = _flop_fanout_context(CellLibrary("65nm"))
+for backend in ("reference", "vector"):
+    f = build_formulation(ctx, 10.0, backend=backend)
+    h = hashlib.sha256(f.A.toarray().tobytes() + f.u.tobytes())
+    print(backend, h.hexdigest())
+"""
+
+
+class TestEndpointRowOrder:
+    def test_vector_matches_reference_rows(self, lib65):
+        ctx = _flop_fanout_context(lib65)
+        ref, vec = both_backends(ctx, 10.0)
+        assert_formulations_identical(ref, vec)
+        assert np.array_equal(ref.A.toarray(), vec.A.toarray())
+        # PO row + one row per distinct flop the driver feeds
+        drv = ref.gate_order.index("drv")
+        ep_rows = ref.A[:, ref.idx_T].nonzero()[0]
+        ep_rows = ep_rows[ep_rows != ref.row_clock]
+        drv_rows = [
+            r for r in ep_rows if ref.A[r, ref.idx_T - ref.n_gates + drv]
+        ]
+        assert len(drv_rows) == 6
+
+    def test_row_order_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        outs = []
+        for seed in ("1", "2", "3"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _ROW_ORDER_SCRIPT],
+                env=env, cwd=root, capture_output=True, text=True,
+                check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == outs[2]
+        ref, vec = outs[0].split()[1::2]
+        assert ref == vec

@@ -50,3 +50,135 @@ class TestHeadlineResults:
         assert lo.leakage_improvement_pct == pytest.approx(38.3, abs=3.0)
         assert hi.mct_improvement_pct == pytest.approx(11.4, abs=2.0)
         assert hi.leakage_improvement_pct == pytest.approx(-156.3, abs=15.0)
+
+
+# ----------------------------------------------------------------------
+# Variation goldens: Monte Carlo and SSTA on the timing graph.  Recorded
+# from the per-gate implementations before both moved onto
+# CompiledTimingGraph; the MC samples must stay bit-identical and SSTA
+# within 1e-12.  The dose maps are the QCP maps (G=10 um) those runs
+# produced, stored here so the goldens do not depend on the solver.
+# The MC digest is exact: a numpy/LAPACK build whose least-squares delay
+# fits differ in the last bit fails it.
+# ----------------------------------------------------------------------
+_VARIATION_SCALE = 0.25
+_VARIATION_GRID = 10.0
+_VARIATION_SAMPLES = 200
+_VARIATION_SEED = 11
+
+_VARIATION_GOLDENS = {
+    "AES-65": {
+        "dose_map": [
+            [1.5, -0.5, -0.5, 0.0, 2.0],
+            [-0.5, -0.5, -2.5, -2.0, 0.0],
+            [-1.0, -2.5, -2.5, -3.5, -2.0],
+            [-1.0, -1.5, -2.0, -2.5, -2.5],
+            [-1.0, -1.0, -1.5, -1.5, -2.0],
+        ],
+        "mc": {
+            "nominal": "91ef043bc533487c2d01ea0c3817ea238e24c847480ed843afc0660564208ecd",
+            "qcp": "ee08bc4f269b5a1d328eaa5a1c753b96d1fb8b1128160b6e437ad76e1b062266",
+        },
+        "ssta": {
+            "nominal": (
+                2.4413939359162242, 0.01831241528672219, 0.007972988493580265,
+                [0.011863481943978425, 0.006725509877973937,
+                 0.009262900256441617] + [0.0] * 6,
+            ),
+            "qcp": (
+                2.37481247031933, 0.017967306197489815, 0.0073108880074982344,
+                [0.011761982555020527, 0.0067253084706343745,
+                 0.009262882968405719] + [0.0] * 6,
+            ),
+        },
+    },
+    "JPEG-65": {
+        "dose_map": [
+            [2.5, 2.5, 2.5, 2.5, 0.5, 1.0, -1.0, 1.0],
+            [0.5, 0.5, 0.5, 0.5, 0.5, -1.0, -1.0, -1.0],
+            [-1.5, -1.5, -1.5, -1.5, -1.5, -1.5, -3.0, -3.0],
+            [-3.5, -3.5, -3.5, -3.5, -3.5, -3.5, -3.5, -3.5],
+            [-2.5, -2.5, -2.5, -2.5, -2.5, -2.5, -2.5, -3.0],
+            [-1.5, -1.5, -2.0, -2.0, -2.0, -2.0, -2.0, -2.0],
+            [-1.0, -1.0, -1.5, -1.5, -1.5, -1.5, -1.5, -1.5],
+            [-1.0, -1.0, -1.0, -1.0, -1.5, -1.5, -1.5, -1.5],
+        ],
+        "mc": {
+            "nominal": "331fa883f53b168d1658da84db533f0654b6e18398173a1147852ff035c57167",
+            "qcp": "4854e608d91c2b6d071340bed482ca0553074ee556af2174fb06a58e30df37d4",
+        },
+        "ssta": {
+            "nominal": (
+                3.8596994367493487, 0.024207848330790066, 0.010442568801849106,
+                [0.014382201007185224, 0.014476567266836023,
+                 0.0067362453609886245, 0.003895763136977715] + [0.0] * 12,
+            ),
+            "qcp": (
+                3.6969090453156364, 0.02408906520393734, 0.010587240121025528,
+                [0.014397525727921382, 0.013852097665626723,
+                 0.007335100294089861, 0.0039013274498195553] + [0.0] * 12,
+            ),
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_VARIATION_GOLDENS))
+def variation_case(request):
+    from repro.dosemap import DoseMap, GridPartition
+
+    ctx = DesignContext(make_design(request.param, scale=_VARIATION_SCALE))
+    die = ctx.placement.die
+    part = GridPartition(die.width, die.height, _VARIATION_GRID)
+    golden = _VARIATION_GOLDENS[request.param]
+    dose_maps = {
+        "nominal": None,
+        "qcp": DoseMap(part, "poly", golden["dose_map"]),
+    }
+    return ctx, dose_maps, golden
+
+
+class TestVariationGoldens:
+    def test_aes_has_pi_pins_after_the_first(self):
+        """The AES golden exercises gates whose PI pin is not pin 0."""
+        ctx = DesignContext(make_design("AES-65", scale=_VARIATION_SCALE))
+        nl, lib = ctx.netlist, ctx.library
+        late = 0
+        for gate in nl.gates.values():
+            if lib.cell(gate.master).is_sequential:
+                continue
+            pi = [k for k, net in enumerate(gate.inputs)
+                  if nl.nets[net].driver is None]
+            late += bool(pi) and pi[0] > 0
+        assert late > 0
+
+    @pytest.mark.parametrize("dose", ["nominal", "qcp"])
+    def test_monte_carlo_samples_bit_identical(self, variation_case, dose):
+        import hashlib
+
+        from repro.variation import TimingMonteCarlo, VariationModel
+
+        ctx, dose_maps, golden = variation_case
+        mc = TimingMonteCarlo(ctx)
+        dl = mc.sample_dl(
+            VariationModel(seed=_VARIATION_SEED), _VARIATION_SAMPLES
+        )
+        samples = mc.mct_samples(dl, dose_map=dose_maps[dose])
+        digest = hashlib.sha256(samples.tobytes()).hexdigest()
+        assert digest == golden["mc"][dose]
+
+    @pytest.mark.parametrize("dose", ["nominal", "qcp"])
+    def test_ssta_within_1e12(self, variation_case, dose):
+        from repro.variation import SSTA, VariationModel
+
+        ctx, dose_maps, golden = variation_case
+        mct = SSTA(ctx, VariationModel(seed=_VARIATION_SEED)).analyze(
+            dose_map=dose_maps[dose]
+        )
+        mean, sigma, rand, sens = golden["ssta"][dose]
+        assert mct.mean == pytest.approx(mean, abs=1e-12, rel=0)
+        assert mct.sigma == pytest.approx(sigma, abs=1e-12, rel=0)
+        assert mct.rand == pytest.approx(rand, abs=1e-12, rel=0)
+        assert len(mct.sens) == len(sens)
+        for got, want in zip(mct.sens, sens):
+            assert got == pytest.approx(want, abs=1e-12, rel=0)

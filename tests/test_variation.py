@@ -28,7 +28,7 @@ class TestSampling:
         model = VariationModel(seed=5)
         a = mc.sample_dl(model, 16)
         b = mc.sample_dl(model, 16)
-        assert a.shape == (16, len(mc._order))
+        assert a.shape == (16, len(mc.graph.names))
         assert np.array_equal(a, b)
 
     def test_sample_count_validation(self, mc):
@@ -66,7 +66,7 @@ class TestMCTEvaluation:
         assert mcts.shape == (200,)
 
     def test_positive_dl_slows(self, mc):
-        n_gates = len(mc._order)
+        n_gates = len(mc.graph.names)
         slow = mc.mct_samples(np.full((1, n_gates), 3.0))[0]
         fast = mc.mct_samples(np.full((1, n_gates), -3.0))[0]
         assert fast < mc.nominal_mct() < slow
@@ -113,3 +113,56 @@ class TestYield:
             mc.mct_samples(dl, dose_map=res.dose_map_poly), target
         )
         assert y_opt > y_base
+
+
+class TestOneTimingGraph:
+    """Monte Carlo, SSTA and the formulation read the context's graph."""
+
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
+    def test_one_compile_per_context(self, monkeypatch, backend):
+        from repro.core.formulate import build_formulation
+        from repro.sta import compiled
+        from repro.variation import SSTA, LeakageMonteCarlo
+
+        compiles = []
+        init = compiled.CompiledTimingGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            compiles.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            compiled.CompiledTimingGraph, "__init__", counting_init
+        )
+        ctx = DesignContext(
+            make_design("AES-65", scale=0.25), sta_backend=backend
+        )
+        mc = TimingMonteCarlo(ctx)
+        ssta = SSTA(ctx, VariationModel())
+        lmc = LeakageMonteCarlo(ctx)
+        build_formulation(ctx, 10.0, backend="vector")
+        assert compiles == [ctx.graph]
+        assert mc.graph is ctx.graph
+        assert ssta.graph is ctx.graph
+        assert lmc.graph is ctx.graph
+        if backend == "vector":
+            assert ctx.analyzer.graph is ctx.graph
+
+    def test_dict_engine_baseline_gives_identical_results(self):
+        """The graph path is engine-agnostic: a reference-STA baseline
+        yields the same samples and SSTA as the vector one."""
+        from repro.variation import SSTA
+
+        bundle = make_design("AES-65", scale=0.25)
+        model = VariationModel(seed=8)
+        results = []
+        for backend in ("vector", "reference"):
+            ctx = DesignContext(bundle, sta_backend=backend)
+            mc = TimingMonteCarlo(ctx)
+            mct = SSTA(ctx, model).analyze()
+            results.append(
+                (mc.mct_samples(mc.sample_dl(model, 32)), mct.mean, mct.rand)
+            )
+        (s_vec, m_vec, r_vec), (s_ref, m_ref, r_ref) = results
+        assert np.array_equal(s_vec, s_ref)
+        assert (m_vec, r_vec) == (m_ref, r_ref)
