@@ -6,10 +6,11 @@ so the perf trajectory is tracked across PRs (companion to
 ``BENCH_sta.json``):
 
 ``assembly``
-    ``build_formulation`` wall clock, reference loop builder vs the
-    vectorized block-COO builder.  ``vector_cold`` includes the one-time
-    per-design array extraction; ``vector_warm`` is the steady-state
-    rebuild cost (what sweeps and retries actually pay).
+    ``build_formulation`` (the block-COO assembler, ``vector*`` keys)
+    wall clock vs the per-gate loop oracle (``reference``).
+    ``vector_cold`` includes the one-time per-design array extraction;
+    ``vector_warm`` is the steady-state rebuild cost (what sweeps and
+    retries actually pay).
 ``solve_warm``
     One DMopt solve cold vs re-solved warm-started from the cold
     solution (same formulation cache + IPM workspace), per mode.
@@ -37,12 +38,10 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
 from repro.core import DesignContext, dmopt_dose_range_sweep, optimize_dose_map
-from repro.core.formulate import (
-    BACKEND_REFERENCE,
-    BACKEND_VECTOR,
-    build_formulation,
-)
+from repro.core.formulate import _assemble_reference, build_formulation
+from repro.dosemap import GridPartition
 from repro.experiments.harness import DMoptCell, run_dmopt_cells
 from repro.netlist.designs import make_design
 
@@ -70,13 +69,16 @@ def bench_assembly(design: str, scale: float, grid: float,
     # cold: the very first vectorized build pays the per-design array
     # extraction (cached on the context afterwards)
     t0 = time.perf_counter()
-    build_formulation(ctx, grid, backend=BACKEND_VECTOR)
+    build_formulation(ctx, grid)
     out["vector_cold"] = time.perf_counter() - t0
-    out["vector_warm"] = _time(
-        lambda: build_formulation(ctx, grid, backend=BACKEND_VECTOR), repeats
-    )
+    out["vector_warm"] = _time(lambda: build_formulation(ctx, grid), repeats)
+    die = ctx.placement.die
     out["reference"] = _time(
-        lambda: build_formulation(ctx, grid, backend=BACKEND_REFERENCE),
+        lambda: _assemble_reference(
+            ctx, GridPartition(die.width, die.height, grid),
+            both_layers=False, dose_range=DEFAULT_DOSE_RANGE,
+            smoothness=DEFAULT_SMOOTHNESS, seam_smoothness=False,
+        ),
         max(2, repeats // 2),
     )
     out["speedup_warm"] = out["reference"] / out["vector_warm"]

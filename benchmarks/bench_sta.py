@@ -1,19 +1,21 @@
 #!/usr/bin/env python
-"""STA engine benchmark: vector vs reference backend.
+"""STA engine benchmark: the flow's engine vs the dict oracle.
 
 Times three workloads on the AES-like and JPEG-like designs and writes
 ``BENCH_sta.json`` at the repo root so the perf trajectory is tracked
-across PRs:
+across PRs.  ``vector`` keys time the flow's engine
+(:class:`~repro.sta.VectorTimingAnalyzer`), ``reference`` keys the dict
+oracle (:class:`~repro.sta.timing.TimingAnalyzer`):
 
 ``full_sta``
     One golden STA pass (random snapped per-gate doses) from a cold
     analyzer state.
 ``trial_swap``
     Per-swap trial timing inside a dosePl-style loop: swap two cells,
-    re-time, undo.  Reference backend = full re-analysis; vector
-    backend = ``update_placement`` + incremental ``trial_mct``.
+    re-time, undo.  Oracle = full re-analysis; engine =
+    ``update_placement`` + incremental ``trial_mct``.
 ``dosepl_e2e``
-    The dosePl pass end-to-end on a scaled-down design, per backend.
+    The dosePl pass end-to-end on a scaled-down design (engine only).
 
 Usage::
 
@@ -36,7 +38,8 @@ from pathlib import Path
 from repro.core import DesignContext, DoseplConfig, optimize_dose_map, run_dosepl
 from repro.netlist.designs import make_design
 from repro.placement import place_design
-from repro.sta import make_analyzer
+from repro.sta import VectorTimingAnalyzer
+from repro.sta.timing import TimingAnalyzer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,20 +70,21 @@ def bench_full_sta(design: str, scale: float, repeats: int) -> dict:
     placement = place_design(bundle, seed=7)
     doses = _random_doses(bundle.netlist, bundle.library, seed=5)
 
-    out = {"design": design, "n_gates": bundle.netlist.n_gates}
-    for backend in ("reference", "vector"):
-        eng = make_analyzer(
-            bundle.netlist, bundle.library, placement, backend=backend
-        )
-        eng.analyze(doses=doses)  # warm caches / compile once
-        if backend == "vector":
-            # cold per-call state: a fresh rebind each run, so the
-            # measurement includes geometry build + full propagation
-            out[backend] = _time(
-                lambda: eng.rebind(placement).analyze(doses=doses), repeats
-            )
-        else:
-            out[backend] = _time(lambda: eng.analyze(doses=doses), repeats)
+    netlist, library = bundle.netlist, bundle.library
+    out = {"design": design, "n_gates": netlist.n_gates}
+    ref = TimingAnalyzer(netlist, library, placement)
+    ref.analyze(doses=doses)  # warm caches
+    out["reference"] = _time(lambda: ref.analyze(doses=doses), repeats)
+    vec = VectorTimingAnalyzer(netlist, library, placement)
+    vec.analyze(doses=doses)  # compile once
+    # cold per-call state: a fresh engine on the compiled graph each run,
+    # so the measurement includes geometry build + full propagation
+    out["vector"] = _time(
+        lambda: VectorTimingAnalyzer(
+            netlist, library, placement, graph=vec.graph
+        ).analyze(doses=doses),
+        repeats,
+    )
     out["speedup"] = out["reference"] / out["vector"]
     return out
 
@@ -94,7 +98,7 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
     gates = list(netlist.gates)
     swaps = [tuple(rng.sample(gates, 2)) for _ in range(n_swaps)]
 
-    ref = make_analyzer(netlist, library, placement, backend="reference")
+    ref = TimingAnalyzer(netlist, library, placement)
     ref.analyze(doses=doses)
     t0 = time.perf_counter()
     for a, b in swaps:
@@ -103,7 +107,7 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
         placement.swap(a, b)
     t_ref = (time.perf_counter() - t0) / n_swaps
 
-    vec = make_analyzer(netlist, library, placement, backend="vector")
+    vec = VectorTimingAnalyzer(netlist, library, placement)
     vec.mct(doses)
     t0 = time.perf_counter()
     for a, b in swaps:
@@ -126,19 +130,16 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
 
 
 def bench_dosepl(design: str, scale: float, rounds: int) -> dict:
-    out = {"design": design}
-    for backend in ("reference", "vector"):
-        ctx = DesignContext(
-            make_design(design, scale=scale), sta_backend=backend
-        )
-        qcp = optimize_dose_map(ctx, grid_size=5.0, mode="qcp")
-        cfg = DoseplConfig(top_k=200, rounds=rounds)
-        t0 = time.perf_counter()
-        res = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
-        out[backend] = time.perf_counter() - t0
-        out[f"{backend}_mct"] = res.mct
-    out["speedup"] = out["reference"] / out["vector"]
-    return out
+    ctx = DesignContext(make_design(design, scale=scale))
+    qcp = optimize_dose_map(ctx, grid_size=5.0, mode="qcp")
+    cfg = DoseplConfig(top_k=200, rounds=rounds)
+    t0 = time.perf_counter()
+    res = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
+    return {
+        "design": design,
+        "vector": time.perf_counter() - t0,
+        "vector_mct": res.mct,
+    }
 
 
 def main(argv=None) -> int:
@@ -184,8 +185,7 @@ def main(argv=None) -> int:
         report["trial_swap"].append(r)
     for design, _scale in designs[:1]:
         r = bench_dosepl(design, dp_scale, dp_rounds)
-        print(f"dosepl_e2e  {design:8s}: ref {r['reference']:.2f}s  "
-              f"vec {r['vector']:.2f}s  {r['speedup']:.1f}x")
+        print(f"dosepl_e2e  {design:8s}: vec {r['vector']:.2f}s")
         report["dosepl_e2e"].append(r)
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -12,8 +12,8 @@ Two driver modes, matching Section III:
 Both return golden-signoff numbers: the continuous dose solution is
 snapped to the characterized 0.5 %-step variant grid and re-evaluated
 with the full STA and the exact leakage model.  Signoff goes through
-``ctx.golden_eval``, i.e. the context's configured STA backend -- the
-compiled vector engine by default (see :mod:`repro.sta.compiled`).
+``ctx.golden_eval``, i.e. the compiled STA engine
+(see :mod:`repro.sta.compiled`).
 """
 
 from __future__ import annotations

@@ -38,12 +38,9 @@ class DoseplConfig:
     hpwl_increase_limit: float = 0.20  # gamma_3
     leakage_increase_limit: float = 0.10  # gamma_4
     swaps_per_round: int = 1  # gamma_5
-    #: Gate each candidate swap on an incremental trial-STA pass (the
-    #: dirty fanout cone only) and keep it only if the trial MCT strictly
-    #: improves.  Needs a backend with ``trial_mct`` (the default vector
-    #: engine); silently skipped otherwise.
-    trial_sta: bool = True
-    #: Max trial-STA evaluations per round.  Once spent, remaining
+    #: Max trial-STA evaluations per round.  Each candidate swap is gated
+    #: on an incremental trial-STA pass (the dirty fanout cone only) and
+    #: kept only if the trial MCT strictly improves.  Once spent, remaining
     #: candidates fall back to the static (HPWL/leakage) filters only,
     #: bounding the extra work the filter may do in a round.
     trial_budget: int = 32
@@ -102,8 +99,7 @@ def _cell_leakage(ctx, gate_name: str, dose: float) -> float:
 
 
 def _try_round(
-    ctx, dose_map, trial, result, cfg, fixed, stats,
-    timer=None, doses=None, trial_best=None,
+    ctx, dose_map, trial, result, cfg, fixed, stats, timer, doses, trial_best,
 ):
     """One round of cell swapping, applied to ``trial`` in place.
 
@@ -206,7 +202,7 @@ def _try_round(
                         trial.swap(cell, cand)  # undo
                         continue
                     # incremental trial-STA filter
-                    if timer is not None and trials_left > 0:
+                    if trials_left > 0:
                         trials_left -= 1
                         upd = {
                             cell: (ctx.library.snap_dose(d_cell_new), 0.0),
@@ -241,7 +237,7 @@ def _try_round(
     return swaps_done, trial_best
 
 
-def _resync_trial_state(ctx, dose_map, work, target, timer, doses):
+def _resync_work(ctx, dose_map, work, target, timer, doses):
     """Make ``work`` (and the hoisted trial timer) match ``target``.
 
     Used after every round: on accept, ``target`` is the legalized
@@ -250,7 +246,7 @@ def _resync_trial_state(ctx, dose_map, work, target, timer, doses):
     Only cells whose position differs are moved and re-timed, so the
     incremental engine state stays warm across rounds.
 
-    Returns the trial MCT at the resynced state (None without a timer).
+    Returns the trial MCT at the resynced state.
     """
     moved = [
         name
@@ -260,8 +256,6 @@ def _resync_trial_state(ctx, dose_map, work, target, timer, doses):
     for name in moved:
         x, y = target.location(name)
         work.place(name, x, y)
-    if timer is None:
-        return None
     if not moved:
         return timer.trial_mct({})
     timer.update_placement(moved)
@@ -308,17 +302,14 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     # state survive across rounds and are resynced by position diff on
     # accept/rollback instead of being rebuilt from scratch.
     work = place.copy()
-    timer = ctx.trial_timer(work) if cfg.trial_sta else None
-    doses = None
-    work_mct = None
-    if timer is not None:
-        doses = ctx.gate_doses(dose_map, placement=work)
-        work_mct = timer.mct(doses)
+    timer = ctx.analyzer_for(work)
+    doses = ctx.gate_doses(dose_map, placement=work)
+    work_mct = timer.mct(doses)
 
     for rnd in range(1, cfg.rounds + 1):
         swaps_done, work_mct = _try_round(
             ctx, dose_map, work, golden, cfg, fixed, stats,
-            timer=timer, doses=doses, trial_best=work_mct,
+            timer, doses, work_mct,
         )
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))
@@ -339,7 +330,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             # rollback: mark the cells involved as fixed
             fixed.update(stats["swapped_cells"])
         stats["swapped_cells"] = set()
-        work_mct = _resync_trial_state(
+        work_mct = _resync_work(
             ctx, dose_map, work, place, timer, doses
         )
         history.append((rnd, best_mct, best_leak))

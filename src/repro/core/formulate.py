@@ -20,27 +20,21 @@ constraint:
 
     sum_p  alpha_p Ds^2 (d^P)^2  +  beta_p Ds d^P  +  gamma_p Ds d^A
 
-Two interchangeable assembly backends produce identical matrices:
+One assembler builds the matrices: block-wise COO construction
+(:func:`_assemble_vector`).  Per-gate coefficient/arc/endpoint arrays
+are extracted once per design context (and cached on it), then every
+constraint family is emitted as one concatenated triplet batch and the
+leakage quadratic as ``np.bincount`` scatters.  The program size
+depends on the grid count, not the gate count, so assembly must not be
+the gate-bound step -- this keeps it array-bound.
 
-``vector`` (default)
-    Block-wise COO construction: per-gate coefficient/arc/endpoint
-    arrays are extracted once per design context (and cached on it),
-    then every constraint family is emitted as one concatenated triplet
-    batch and the leakage quadratic as ``np.bincount`` scatters.  The
-    program size depends on the grid count, not the gate count, so
-    assembly must not be the gate-bound step -- this backend keeps it
-    array-bound.
-``reference``
-    The original per-gate ``add_row`` loop, kept as the readable golden
-    model for differential testing (``tests/test_formulate_vectorized.py``).
-
-Pick one with the ``backend`` argument of :func:`build_formulation` or
-the ``REPRO_FORMULATE_BACKEND`` environment variable.
+The original per-gate ``add_row`` loop (:func:`_assemble_reference`)
+stays as the readable oracle the tests compare it to bit for bit
+(``tests/test_formulate_vectorized.py``); no runtime option selects it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,26 +45,6 @@ from repro.constants import (
     DEFAULT_SMOOTHNESS,
 )
 from repro.dosemap import DoseMap, GridPartition, LAYER_ACTIVE, LAYER_POLY
-
-BACKEND_VECTOR = "vector"
-BACKEND_REFERENCE = "reference"
-
-#: Assembly backend used when callers don't specify one.
-DEFAULT_FORMULATE_BACKEND = os.environ.get(
-    "REPRO_FORMULATE_BACKEND", BACKEND_VECTOR
-)
-
-
-def resolve_formulate_backend(backend: str = None) -> str:
-    """Normalize a backend name (None -> session default)."""
-    name = DEFAULT_FORMULATE_BACKEND if backend is None else backend
-    if name not in (BACKEND_VECTOR, BACKEND_REFERENCE):
-        raise ValueError(
-            f"unknown formulation backend {name!r}; expected "
-            f"'{BACKEND_VECTOR}' or '{BACKEND_REFERENCE}'"
-        )
-    return name
-
 
 @dataclass
 class Formulation:
@@ -107,7 +81,6 @@ class Formulation:
     seam_smoothness: bool = False
     n_range_rows: int = 0
     n_smooth_rows: int = 0
-    backend: str = BACKEND_VECTOR
     shared: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -182,7 +155,6 @@ def build_formulation(
     dose_range: float = DEFAULT_DOSE_RANGE,
     smoothness: float = DEFAULT_SMOOTHNESS,
     seam_smoothness: bool = False,
-    backend: str = None,
 ) -> Formulation:
     """Assemble the DMopt matrices for a design context.
 
@@ -200,22 +172,14 @@ def build_formulation(
         edges), so the per-die solution can be tiled over a multi-die
         exposure field without violating the scanner's smoothness limit
         (the paper's Section II-B multi-copy extension).
-    backend:
-        ``"vector"`` (block-wise COO, default) or ``"reference"`` (the
-        per-gate loop).  Both produce identical matrices.
     """
     if both_layers and not ctx.fit_width:
         raise ValueError(
             "both-layer formulation needs a DesignContext with fit_width=True"
         )
-    backend = resolve_formulate_backend(backend)
     place = ctx.placement
     partition = GridPartition(place.die.width, place.die.height, grid_size)
-    if backend == BACKEND_VECTOR:
-        assemble = _assemble_vector
-    else:
-        assemble = _assemble_reference
-    return assemble(
+    return _assemble_vector(
         ctx,
         partition,
         both_layers=both_layers,
@@ -226,7 +190,7 @@ def build_formulation(
 
 
 # ----------------------------------------------------------------------
-# reference backend: per-gate add_row loops (golden model)
+# oracle: per-gate add_row loops (test-only golden model)
 # ----------------------------------------------------------------------
 def _assemble_reference(
     ctx,
@@ -380,12 +344,11 @@ def _assemble_reference(
         seam_smoothness=seam_smoothness,
         n_range_rows=n_range_rows,
         n_smooth_rows=n_smooth_rows,
-        backend=BACKEND_REFERENCE,
     )
 
 
 # ----------------------------------------------------------------------
-# vector backend: cached per-design arrays + block-wise COO batches
+# assembler: cached per-design arrays + block-wise COO batches
 # ----------------------------------------------------------------------
 @dataclass
 class _DesignArrays:
@@ -722,5 +685,4 @@ def _assemble_vector(
         seam_smoothness=seam_smoothness,
         n_range_rows=n_range_rows,
         n_smooth_rows=n_smooth_rows,
-        backend=BACKEND_VECTOR,
     )

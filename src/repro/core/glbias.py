@@ -18,16 +18,17 @@ Comparing its results with DMopt quantifies what the dose map's
 equipment constraints cost -- and what skipping a mask respin buys.
 
 The golden re-analysis checkpoints hit ``ctx.analyzer.analyze`` with a
-slightly different dose dict each iteration; under the default vector
-STA backend those calls re-time incrementally (only the biased cells'
-fanout cones are re-propagated), which is what makes the per-cell greedy
-affordable at design scale.
+slightly different dose dict each iteration; those calls re-time
+incrementally (only the biased cells' fanout cones are re-propagated),
+which is what makes the per-cell greedy affordable at design scale.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.power import total_leakage
 
@@ -61,6 +62,28 @@ class GLBiasResult:
             / self.baseline_leakage
             * 100.0
         )
+
+
+def _depth_through(graph) -> dict:
+    """Gate count of the longest path through each gate.
+
+    Forward depth is the graph's topological level plus one (sequential
+    cells start paths at level 0).  Backward depth is folded level by
+    level from the outputs over the fanout arcs, skipping sequential
+    successors, whose data pins end paths.
+    """
+    down = np.ones(graph.n, dtype=np.int64)
+    for lo, hi in reversed(graph.level_slices):
+        a0, a1 = int(graph.fo_ptr[lo]), int(graph.fo_ptr[hi])
+        succ = graph.fo_succ[a0:a1]
+        sc = np.where(succ >= 0, succ, 0)
+        comb = (succ >= 0) & ~graph.is_seq[sc]
+        reach = np.where(comb, down[sc] + 1, 1)
+        down[graph.perm[lo:hi]] = np.maximum.reduceat(
+            reach, graph.fo_ptr[lo:hi] - a0
+        )
+    depth = graph.level + down
+    return dict(zip(graph.names, depth.tolist()))
 
 
 def bias_gate_lengths(
@@ -108,18 +131,7 @@ def bias_gate_lengths(
     # shared by every gate on its worst path, so a pass may only consume
     # slack[g] / depth_through[g] per gate -- conservative, but golden
     # re-analysis between passes restores the unconsumed slack
-    order = nl.topological_order(lib)
-    is_seq = {g: lib.cell(nl.gates[g].master).is_sequential for g in order}
-    lvl_up = {}
-    for g in order:
-        fanins = [] if is_seq[g] else nl.fanin_gates(g)
-        lvl_up[g] = 1 + max((lvl_up[d] for d in fanins), default=0)
-    lvl_down = {g: 1 for g in order}
-    for g in reversed(order):
-        for succ in nl.fanout_gates(g):
-            if not is_seq[succ]:
-                lvl_down[g] = max(lvl_down[g], 1 + lvl_down[succ])
-    depth_through = {g: lvl_up[g] + lvl_down[g] - 1 for g in order}
+    depth_through = _depth_through(ctx.graph)
 
     for _pass in range(max_passes):
         passes += 1

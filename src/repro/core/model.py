@@ -12,7 +12,7 @@ from repro.fitting import DelayFitter, LeakageFitter
 from repro.netlist.designs import DesignBundle, make_design
 from repro.placement import place_design
 from repro.power import total_leakage
-from repro.sta import CompiledTimingGraph, make_analyzer
+from repro.sta import CompiledTimingGraph, VectorTimingAnalyzer
 
 
 class DesignContext:
@@ -29,13 +29,10 @@ class DesignContext:
     fit_width:
         When True, delay/leakage coefficients are fitted over the 2-D
         (dL, dW) variant space (needed for both-layer optimization).
-    sta_backend:
-        STA engine name ("vector" | "reference"); defaults to the
-        session-wide :data:`repro.sta.DEFAULT_STA_BACKEND`.
     """
 
     def __init__(self, bundle, placement=None, fit_width: bool = False,
-                 seed: int = 7, sta_backend: str = None):
+                 seed: int = 7):
         if isinstance(bundle, str):
             bundle = make_design(bundle)
         if not isinstance(bundle, DesignBundle):
@@ -53,12 +50,10 @@ class DesignContext:
         self.placement = placement if placement is not None else place_design(
             bundle, seed=seed
         )
-        self.sta_backend = sta_backend
-        #: The timing graph every timing consumer reads (any backend).
+        #: The timing graph every timing consumer reads.
         self.graph = CompiledTimingGraph(self.netlist, self.library)
-        self.analyzer = make_analyzer(
-            self.netlist, self.library, self.placement, backend=sta_backend,
-            graph=self.graph,
+        self.analyzer = VectorTimingAnalyzer(
+            self.netlist, self.library, self.placement, graph=self.graph
         )
         #: Golden STA at nominal dose.
         self.baseline = self.analyzer.analyze()
@@ -74,7 +69,7 @@ class DesignContext:
     # ------------------------------------------------------------------
     def formulation_for(self, grid_size: float, both_layers: bool = False,
                         dose_range: float = None, smoothness: float = None,
-                        seam_smoothness: bool = False, backend: str = None):
+                        seam_smoothness: bool = False):
         """A DMopt formulation for this design, cached per structure.
 
         The constraint matrix ``A`` and leakage quadratic depend only on
@@ -101,7 +96,7 @@ class DesignContext:
         if form is not None and self._formulation_stale(form, grid_size,
                                                         both_layers):
             form = None
-        if form is None or (backend is not None and form.backend != backend):
+        if form is None:
             metrics.inc("formulation.cache_miss")
             form = build_formulation(
                 self,
@@ -110,7 +105,6 @@ class DesignContext:
                 dose_range=dose_range,
                 smoothness=smoothness,
                 seam_smoothness=seam_smoothness,
-                backend=backend,
             )
             self._formulation_cache[key] = form
         else:
@@ -195,26 +189,16 @@ class DesignContext:
     def analyzer_for(self, placement=None):
         """An STA engine bound to ``placement`` (the context's by default).
 
-        With the vector backend the compiled timing graph is shared, so
-        binding a trial placement costs only a geometry rebuild.
+        Engines for other placements share the compiled timing graph, so
+        binding one costs only a geometry build.  dosePl binds one to its
+        mutable work placement and re-times each candidate swap through
+        ``update_placement`` + ``trial_mct``.
         """
         if placement is None or placement is self.placement:
             return self.analyzer
-        return make_analyzer(
-            self.netlist, self.library, placement, backend=self.sta_backend,
-            graph=self.graph,
+        return VectorTimingAnalyzer(
+            self.netlist, self.library, placement, graph=self.graph
         )
-
-    def trial_timer(self, placement):
-        """Incremental trial timer for a mutable candidate placement.
-
-        Returns an analyzer bound to ``placement`` whose cached state
-        supports ``update_placement`` + ``trial_mct`` (vector backend),
-        or ``None`` when the active backend cannot re-time
-        incrementally -- callers then skip per-swap trial filtering.
-        """
-        eng = self.analyzer_for(placement)
-        return eng if hasattr(eng, "trial_mct") else None
 
     def __repr__(self):
         return (

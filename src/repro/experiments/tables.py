@@ -30,19 +30,11 @@ GRID_SIZES = {"65nm": (5.0, 10.0, 30.0), "90nm": (5.0, 10.0, 50.0)}
 _CTX_CACHE: dict = {}
 
 
-def get_context(design: str, fit_width: bool = False,
-                sta_backend: str = None) -> DesignContext:
-    """Shared, cached design context (placement + baseline + fitters).
-
-    ``sta_backend`` selects the STA engine ("vector" | "reference");
-    contexts are cached per backend so differential experiments can hold
-    both alive side by side.
-    """
-    key = (design, fit_width, sta_backend)
+def get_context(design: str, fit_width: bool = False) -> DesignContext:
+    """Shared, cached design context (placement + baseline + fitters)."""
+    key = (design, fit_width)
     if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = DesignContext(
-            make_design(design), fit_width=fit_width, sta_backend=sta_backend
-        )
+        _CTX_CACHE[key] = DesignContext(make_design(design), fit_width=fit_width)
     return _CTX_CACHE[key]
 
 

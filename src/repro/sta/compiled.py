@@ -1,7 +1,7 @@
-"""Compiled, array-backed STA engine.
+"""Compiled, array-backed STA engine: the flow's one timer.
 
-The golden timer's hot path (:mod:`repro.sta.timing`) is exact but walks
-the netlist gate-by-gate in Python.  This module lowers the design into
+The dict oracle (:mod:`repro.sta.timing`) is exact but walks the
+netlist gate-by-gate in Python.  This module lowers the design into
 flat NumPy structures **once** -- topological levels, CSR fanin/fanout
 arc arrays, stacked NLDM delay/slew tables per characterized variant,
 wire-geometry coefficients -- and then propagates arrival/slew for one
@@ -13,9 +13,9 @@ after a placement move or a per-gate dose change, only the dirty fanout
 cone is re-propagated and only the affected net loads are rebuilt, so a
 dosePl trial swap costs O(cone) instead of O(design).
 
-Numerical contract: every arithmetic expression mirrors the reference
-engine operation-for-operation (same association order, same clamping,
-same tie-breaks), so both backends agree to the last ulp -- the
+Numerical contract: every arithmetic expression mirrors the oracle
+operation-for-operation (same association order, same clamping, same
+tie-breaks), so the two engines agree to the last ulp -- the
 differential tests in ``tests/test_sta_vectorized.py`` pin this down.
 """
 
@@ -382,14 +382,15 @@ class CompiledTimingGraph:
 
 
 class VectorTimingAnalyzer:
-    """Array-backed drop-in for :class:`repro.sta.timing.TimingAnalyzer`.
+    """The flow's STA engine, bound to one (netlist, library, placement).
 
-    Same constructor signature and ``analyze`` contract as the reference
-    engine, same :class:`TimingResult` output, plus:
+    Same constructor signature, ``analyze`` contract and
+    :class:`TimingResult` output as the oracle
+    :class:`repro.sta.timing.TimingAnalyzer`, plus:
 
-    ``rebind(placement)``
-        A new analyzer for another placement sharing this one's compiled
-        graph and variant stack (geometry is rebuilt vectorized).
+    ``graph=``
+        Reuse a compiled graph (one per design context), so binding
+        another placement costs only a vectorized geometry build.
     ``update_placement(moved)``
         Refresh wire geometry for a few moved cells and mark their
         cones dirty for the next (incremental) pass.
@@ -421,31 +422,9 @@ class VectorTimingAnalyzer:
         elif graph.netlist is not netlist or graph.library is not library:
             raise ValueError("compiled graph belongs to a different design")
         self.graph = graph
-        # reference-compatible internals (used by hold/ERC analysis)
-        self._order = graph.names
-        self._is_seq = dict(zip(graph.names, graph.is_seq.tolist()))
         self._state = None
         self._moved_pending: set = set()
         self._geometry_full()
-
-    # -- reference-engine compatibility (hold / ERC duck typing) -------
-    def _variant(self, gate_name: str, doses):
-        master = self.netlist.gate(gate_name).master
-        if doses is None:
-            return self.library.nominal(master)
-        dp, da = doses.get(gate_name, (0.0, 0.0))
-        return self.library.characterized(master, dp, da)
-
-    def _net_loads(self, doses):
-        """Per-net capacitive loads dict (reference-compatible)."""
-        from repro.sta.timing import TimingAnalyzer
-
-        ref = TimingAnalyzer(
-            self.netlist, self.library, self.placement,
-            input_slew=self.input_slew, po_load=self.po_load,
-            net_lengths=self.net_lengths,
-        )
-        return ref._net_loads(doses)
 
     # ------------------------------------------------------------------
     # geometry
@@ -591,17 +570,6 @@ class VectorTimingAnalyzer:
             )
             self._wire_cap[gid] = node.wire_c_per_um * hpwl
         self._moved_pending.update(ids)
-
-    def rebind(self, placement) -> "VectorTimingAnalyzer":
-        """New analyzer for another placement, sharing the compiled graph."""
-        return VectorTimingAnalyzer(
-            self.netlist,
-            self.library,
-            placement,
-            input_slew=self.input_slew,
-            po_load=self.po_load,
-            graph=self.graph,
-        )
 
     # ------------------------------------------------------------------
     # forward propagation
@@ -799,7 +767,7 @@ class VectorTimingAnalyzer:
     # public API
     # ------------------------------------------------------------------
     def analyze(self, doses=None, clock_period: float = None) -> TimingResult:
-        """One STA pass; same contract as the reference engine.
+        """One STA pass; same contract as the oracle engine.
 
         Consecutive calls on the same analyzer re-time incrementally:
         only gates whose dose changed -- plus cells moved via

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sta.timing import gate_variant
+
 
 @dataclass
 class ErcResult:
@@ -58,7 +60,8 @@ def check_electrical_rules(
     Parameters
     ----------
     analyzer:
-        A :class:`~repro.sta.timing.TimingAnalyzer`.
+        An STA engine (:class:`~repro.sta.VectorTimingAnalyzer`, or
+        the oracle :class:`~repro.sta.timing.TimingAnalyzer`).
     doses:
         Optional dose assignment (slower gates under negative dose).
     max_slew_ns:
@@ -75,8 +78,9 @@ def check_electrical_rules(
     loads = result.load
 
     erc = ErcResult(max_slew_ns=max_slew_ns, max_cap_ff=max_cap_ff or -1.0)
-    for name in analyzer.netlist.gates:
-        cc = analyzer._variant(name, doses)
+    nl = analyzer.netlist
+    for name in nl.gates:
+        cc = gate_variant(nl, lib, name, doses)
         slew = cc.slew_at(result.input_slew[name], loads[name])
         if slew > max_slew_ns:
             erc.slew_violations.append((name, float(slew), max_slew_ns))

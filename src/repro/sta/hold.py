@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sta.timing import gate_variant
 from repro.sta.wire import arc_wire_delay
 
 #: Default flip-flop hold requirement (ns): data must stay stable this
@@ -46,27 +47,33 @@ class HoldResult:
 
 
 def analyze_hold(analyzer, doses=None, hold_ns: float = DEFAULT_HOLD_NS) -> HoldResult:
-    """Shortest-path (early-mode) timing over a TimingAnalyzer's design.
+    """Shortest-path (early-mode) timing over an STA engine's design.
 
     Mirrors :meth:`repro.sta.timing.TimingAnalyzer.analyze` but
     propagates the *minimum* arrival: for each gate the earliest input
     transition plus the gate delay at that input's slew.  Sequential
-    cells launch at clk->q as in max-mode.
+    cells launch at clk->q as in max-mode.  Per-gate loads come from the
+    engine's own ``analyze`` pass, so any engine with the ``analyze``
+    contract works.
     """
     nl = analyzer.netlist
+    lib = analyzer.library
     place = analyzer.placement
     node = analyzer.node
-    loads = analyzer._net_loads(doses)
+    loads = analyzer.analyze(doses).load
+    order = nl.topological_order(lib)
+    is_seq = {name: lib.cell(nl.gates[name].master).is_sequential
+              for name in order}
 
     min_arrival: dict = {}
     out_slew: dict = {}
     hold_slack: dict = {}
 
-    for name in analyzer._order:
+    for name in order:
         gate = nl.gates[name]
-        cc = analyzer._variant(name, doses)
-        load = loads[gate.output]
-        if analyzer._is_seq[name]:
+        cc = gate_variant(nl, lib, name, doses)
+        load = loads[name]
+        if is_seq[name]:
             delay = cc.delay_at(analyzer.input_slew, load)
             min_arrival[name] = delay
             out_slew[name] = cc.slew_at(analyzer.input_slew, load)
@@ -95,11 +102,11 @@ def analyze_hold(analyzer, doses=None, hold_ns: float = DEFAULT_HOLD_NS) -> Hold
         out_slew[name] = cc.slew_at(best_slew, load)
 
     # hold endpoints: FF data pins driven by gates
-    for name in analyzer._order:
-        if not analyzer._is_seq[name]:
+    for name in order:
+        if not is_seq[name]:
             continue
         gate = nl.gates[name]
-        cc = analyzer._variant(name, doses)
+        cc = gate_variant(nl, lib, name, doses)
         for net_name in gate.inputs:
             net = nl.nets[net_name]
             if net.driver is None:

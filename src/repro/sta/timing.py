@@ -1,6 +1,7 @@
-"""Block-based static timing analysis.
+"""Block-based static timing analysis: the dict oracle.
 
-The golden timer of the flow (PrimeTime's role in the paper): forward
+The golden timer's readable definition (PrimeTime's role in the paper;
+the flow runs its compiled twin, :mod:`repro.sta.compiled`): forward
 arrival/slew propagation over the combinational graph -- with sequential
 cells acting as path sources (clk->q) and path endpoints (D-pin arrival +
 setup) per the paper's unrolling -- followed by a backward required-time
@@ -29,12 +30,25 @@ def beats_worst_pin(arr, slew, best_arr, best_slew) -> bool:
     """Deterministic worst-pin order: lexicographic max on (arrival, slew).
 
     The critical input of a gate is the latest-arriving pin; among pins
-    with *exactly* equal arrival the larger slew wins.  Every STA backend
+    with *exactly* equal arrival the larger slew wins.  Every STA engine
     must implement this precise ordering (the vectorized engine mirrors
     it in :func:`repro.sta.compiled.lex_max_reduce`), otherwise
-    equal-arrival pins would make gate delays backend-dependent.
+    equal-arrival pins would make gate delays engine-dependent.
     """
     return arr > best_arr or (arr == best_arr and slew > best_slew)
+
+
+def gate_variant(netlist, library, gate_name: str, doses):
+    """Characterized cell for a gate under a dose assignment.
+
+    ``doses`` maps gate name -> (poly dose %, active dose %); gates
+    missing from it, or every gate when ``doses`` is None, are nominal.
+    """
+    master = netlist.gate(gate_name).master
+    if doses is None:
+        return library.nominal(master)
+    dp, da = doses.get(gate_name, (0.0, 0.0))
+    return library.characterized(master, dp, da)
 
 
 @dataclass
@@ -113,14 +127,6 @@ class TimingAnalyzer:
         self._nominal_loads = None
 
     # ------------------------------------------------------------------
-    def _variant(self, gate_name: str, doses):
-        """Characterized cell for a gate under the dose assignment."""
-        master = self.netlist.gate(gate_name).master
-        if doses is None:
-            return self.library.nominal(master)
-        dp, da = doses.get(gate_name, (0.0, 0.0))
-        return self.library.characterized(master, dp, da)
-
     def _net_loads(self, doses):
         """Capacitive load (fF) per net: wire + sink pins (+ PO load).
 
@@ -142,7 +148,9 @@ class TimingAnalyzer:
                 length_um=length,
             )
             for sink, _pin in net.sinks:
-                cap += self._variant(sink, doses).input_cap_ff
+                cap += gate_variant(
+                    self.netlist, self.library, sink, doses
+                ).input_cap_ff
             if net.is_primary_output:
                 cap += self.po_load
             loads[net_name] = cap
@@ -174,7 +182,7 @@ class TimingAnalyzer:
         def variant(name):
             cc = variants.get(name)
             if cc is None:
-                cc = variants[name] = self._variant(name, doses)
+                cc = variants[name] = gate_variant(nl, self.library, name, doses)
             return cc
 
         arrival: dict = {}

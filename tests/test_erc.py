@@ -1,4 +1,8 @@
-"""Tests for electrical rule checks."""
+"""Tests for electrical rule checks.
+
+``TestERC`` runs on the flow's engine; its ``...Oracle`` subclass reruns
+it on the dict oracle (see ``tests/conftest.py``).
+"""
 
 import pytest
 
@@ -6,7 +10,8 @@ from repro.core import DesignContext, optimize_dose_map
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement
-from repro.sta import TimingAnalyzer, check_electrical_rules, default_limits
+from repro.sta import check_electrical_rules, default_limits
+from repro.sta.timing import TimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +19,19 @@ def ctx():
     return DesignContext(make_design("AES-65", scale=0.25))
 
 
-def _fanout_monster(lib, fanout=40):
+@pytest.fixture(scope="module")
+def qp_doses(ctx):
+    """Snapped per-gate doses of the QP G=10 dose map."""
+    res = optimize_dose_map(ctx, 10.0, mode="qp")
+    return ctx.gate_doses(res.dose_map_poly)
+
+
+@pytest.fixture(scope="class")
+def analyzer(ctx, engine):
+    return engine(ctx.netlist, ctx.library, ctx.placement)
+
+
+def _fanout_monster(lib, engine, fanout=40):
     """A weak driver into a huge fanout: guaranteed ERC trouble."""
     nl = Netlist("monster")
     nl.add_primary_input("a")
@@ -26,12 +43,12 @@ def _fanout_monster(lib, fanout=40):
     pl.place("drv", 0.0, 0.0)
     for i in range(fanout):
         pl.place(f"ld{i}", (i * 1.4) % 58.0, 1.8 * (1 + i // 40))
-    return TimingAnalyzer(nl, lib, pl)
+    return engine(nl, lib, pl)
 
 
 class TestERC:
-    def test_clean_design(self, ctx):
-        erc = check_electrical_rules(ctx.analyzer)
+    def test_clean_design(self, ctx, analyzer):
+        erc = check_electrical_rules(analyzer)
         # the fanout-sized benchmark designs are largely sane; the few
         # violators are drive-limited cells (DFF tops out at X4,
         # XNOR2 at X1)
@@ -41,22 +58,24 @@ class TestERC:
             assert ctx.netlist.gate(gate).master.startswith(limited)
         assert "ERC:" in erc.summary()
 
-    def test_fanout_monster_flagged(self):
+    def test_fanout_monster_flagged(self, engine):
         lib = CellLibrary("65nm")
-        erc = check_electrical_rules(_fanout_monster(lib))
+        erc = check_electrical_rules(_fanout_monster(lib, engine))
         assert not erc.clean
         assert erc.cap_violations
         assert erc.cap_violations[0][0] == "drv"
 
-    def test_violations_sorted_worst_first(self):
+    def test_violations_sorted_worst_first(self, engine):
         lib = CellLibrary("65nm")
-        erc = check_electrical_rules(_fanout_monster(lib), max_slew_ns=0.01)
+        erc = check_electrical_rules(
+            _fanout_monster(lib, engine), max_slew_ns=0.01
+        )
         vals = [v for _g, v, _l in erc.slew_violations]
         assert vals == sorted(vals, reverse=True)
 
-    def test_explicit_limits(self, ctx):
+    def test_explicit_limits(self, ctx, analyzer):
         strict = check_electrical_rules(
-            ctx.analyzer, max_slew_ns=1e-6, max_cap_ff=1e-6
+            analyzer, max_slew_ns=1e-6, max_cap_ff=1e-6
         )
         # every gate has positive output slew; cap violations exclude
         # gates driving dangling (zero-load) nets
@@ -69,23 +88,24 @@ class TestERC:
         assert slew == pytest.approx(0.512)
         assert cap is None
 
-    def test_negative_dose_worsens_transitions(self, ctx):
+    def test_negative_dose_worsens_transitions(self, ctx, analyzer):
         """Leakage-recovery doses slow transitions: the ERC interaction
         the module docstring warns about."""
-        base = check_electrical_rules(ctx.analyzer, max_slew_ns=0.25)
+        base = check_electrical_rules(analyzer, max_slew_ns=0.25)
         slow = check_electrical_rules(
-            ctx.analyzer,
+            analyzer,
             doses={g: (-5.0, 0.0) for g in ctx.netlist.gates},
             max_slew_ns=0.25,
         )
         assert len(slow.slew_violations) >= len(base.slew_violations)
 
-    def test_dmopt_result_is_erc_clean(self, ctx):
+    def test_dmopt_result_is_erc_clean(self, analyzer, qp_doses):
         """The QP dose map must not create transition violations against
         the characterization-window limit."""
-        res = optimize_dose_map(ctx, 10.0, mode="qp")
-        erc = check_electrical_rules(
-            ctx.analyzer, doses=ctx.gate_doses(res.dose_map_poly)
-        )
-        base = check_electrical_rules(ctx.analyzer)
+        erc = check_electrical_rules(analyzer, doses=qp_doses)
+        base = check_electrical_rules(analyzer)
         assert len(erc.slew_violations) <= len(base.slew_violations) + 2
+
+
+class TestERCOracle(TestERC):
+    sta_engine = TimingAnalyzer

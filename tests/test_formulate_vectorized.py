@@ -1,11 +1,11 @@
-"""Differential tests: vectorized formulation assembly vs the loop builder.
+"""Differential tests: the formulation assembler vs the loop oracle.
 
-The block-wise COO backend (:func:`_assemble_vector`) must emit exactly
-the matrices the readable per-gate ``add_row`` reference emits -- same
-``A`` entries (compared as canonically sorted COO triplets), same
-bounds, same leakage quadratic, same row bookkeeping -- for any design,
-layer setting, and seam setting.  Plus the formulation cache/retarget
-contract and the ``REPRO_FORMULATE_BACKEND`` dispatch.
+:func:`build_formulation` (the block-wise COO assembler) must emit
+exactly the matrices the readable per-gate ``add_row`` oracle
+(:func:`_assemble_reference`) emits -- same ``A`` entries (compared as
+canonically sorted COO triplets), same bounds, same leakage quadratic,
+same row bookkeeping -- for any design, layer setting, and seam
+setting.  Plus the formulation cache/retarget contract.
 """
 
 import numpy as np
@@ -14,15 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DesignContext
-from repro.core.formulate import (
-    BACKEND_REFERENCE,
-    BACKEND_VECTOR,
-    build_formulation,
-    resolve_formulate_backend,
-)
+from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
+from repro.core.formulate import _assemble_reference, build_formulation
+from repro.dosemap import GridPartition
 from repro.library import CellLibrary
 from repro.netlist import Netlist
-from repro.netlist.designs import DesignBundle
+from repro.netlist.designs import DesignBundle, make_design
 
 import random
 
@@ -69,9 +66,25 @@ def assert_formulations_identical(ref, vec):
     assert ref.n_smooth_rows == vec.n_smooth_rows
 
 
-def both_backends(ctx, grid_size, **kwargs):
-    ref = build_formulation(ctx, grid_size, backend=BACKEND_REFERENCE, **kwargs)
-    vec = build_formulation(ctx, grid_size, backend=BACKEND_VECTOR, **kwargs)
+def reference_formulation(ctx, grid_size, both_layers=False,
+                          dose_range=DEFAULT_DOSE_RANGE,
+                          smoothness=DEFAULT_SMOOTHNESS,
+                          seam_smoothness=False):
+    """The loop oracle on the partition ``build_formulation`` uses."""
+    die = ctx.placement.die
+    return _assemble_reference(
+        ctx,
+        GridPartition(die.width, die.height, grid_size),
+        both_layers=both_layers,
+        dose_range=dose_range,
+        smoothness=smoothness,
+        seam_smoothness=seam_smoothness,
+    )
+
+
+def both_assemblies(ctx, grid_size, **kwargs):
+    ref = reference_formulation(ctx, grid_size, **kwargs)
+    vec = build_formulation(ctx, grid_size, **kwargs)
     return ref, vec
 
 
@@ -79,19 +92,19 @@ class TestDifferentialFixedDesign:
     @pytest.mark.parametrize("seam", [False, True])
     @pytest.mark.parametrize("grid", [5.0, 10.0, 30.0])
     def test_poly_only(self, aes_ctx, grid, seam):
-        ref, vec = both_backends(aes_ctx, grid, seam_smoothness=seam)
+        ref, vec = both_assemblies(aes_ctx, grid, seam_smoothness=seam)
         assert_formulations_identical(ref, vec)
 
     @pytest.mark.parametrize("seam", [False, True])
     @pytest.mark.parametrize("both_layers", [False, True])
     def test_both_layers(self, aes_ctx_w, both_layers, seam):
-        ref, vec = both_backends(
+        ref, vec = both_assemblies(
             aes_ctx_w, 10.0, both_layers=both_layers, seam_smoothness=seam
         )
         assert_formulations_identical(ref, vec)
 
     def test_nondefault_bounds(self, aes_ctx):
-        ref, vec = both_backends(
+        ref, vec = both_assemblies(
             aes_ctx, 10.0, dose_range=3.5, smoothness=1.25
         )
         assert_formulations_identical(ref, vec)
@@ -99,8 +112,42 @@ class TestDifferentialFixedDesign:
     def test_small_dense_equality(self, lib65):
         """On a tiny DAG the dense matrices must match element-wise."""
         ctx = _random_dag_context(seed=5, n_gates=25, lib=lib65)
-        ref, vec = both_backends(ctx, 10.0)
+        ref, vec = both_assemblies(ctx, 10.0)
         assert np.array_equal(ref.A.toarray(), vec.A.toarray())
+
+
+class TestDmoptSettings:
+    """Every formulation setting ``tests/test_dmopt.py`` solves, on its
+    design (AES-65 at scale 0.25): each grid size, both layer settings,
+    the seam setting and the non-default bounds."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return DesignContext(make_design("AES-65", scale=0.25))
+
+    @pytest.fixture(scope="class")
+    def ctx_w(self):
+        return DesignContext(make_design("AES-65", scale=0.25), fit_width=True)
+
+    @pytest.mark.parametrize(
+        "grid, kwargs",
+        [
+            (5.0, {}),
+            (10.0, {}),
+            (30.0, {}),
+            (10.0, {"seam_smoothness": True}),
+            (10.0, {"dose_range": 0.0, "smoothness": 2.0}),
+            (10.0, {"smoothness": 0.25}),
+        ],
+        ids=["G5", "G10", "G30", "seam", "zero-range", "tight-smooth"],
+    )
+    def test_poly(self, ctx, grid, kwargs):
+        assert_formulations_identical(*both_assemblies(ctx, grid, **kwargs))
+
+    @pytest.mark.parametrize("both_layers", [False, True])
+    def test_fit_width(self, ctx_w, both_layers):
+        ref, vec = both_assemblies(ctx_w, 10.0, both_layers=both_layers)
+        assert_formulations_identical(ref, vec)
 
 
 def _random_dag_context(seed, n_gates, lib):
@@ -149,33 +196,8 @@ class TestDifferentialRandomDAGs:
     )
     def test_random_dag(self, lib65, seed, n_gates, seam):
         ctx = _random_dag_context(seed, n_gates, lib65)
-        ref, vec = both_backends(ctx, 5.0, seam_smoothness=seam)
+        ref, vec = both_assemblies(ctx, 5.0, seam_smoothness=seam)
         assert_formulations_identical(ref, vec)
-
-
-class TestBackendDispatch:
-    def test_resolve_names(self):
-        assert resolve_formulate_backend("vector") == BACKEND_VECTOR
-        assert resolve_formulate_backend("reference") == BACKEND_REFERENCE
-        with pytest.raises(ValueError):
-            resolve_formulate_backend("nope")
-
-    def test_default_follows_session_backend(self, aes_ctx):
-        from repro.core.formulate import DEFAULT_FORMULATE_BACKEND
-
-        form = build_formulation(aes_ctx, 30.0)
-        assert form.backend == resolve_formulate_backend(
-            DEFAULT_FORMULATE_BACKEND
-        )
-
-    def test_env_override(self, aes_ctx, monkeypatch):
-        import repro.core.formulate as formulate
-
-        monkeypatch.setattr(
-            formulate, "DEFAULT_FORMULATE_BACKEND", "reference"
-        )
-        form = build_formulation(aes_ctx, 30.0)
-        assert form.backend == BACKEND_REFERENCE
 
 
 class TestFormulationCacheRetarget:
@@ -219,7 +241,7 @@ def _flop_fanout_context(lib):
     """One driver feeding a PO and five flops (one of them on two pins).
 
     The flops' endpoint rows share that driver, so their order is the
-    order the backends enumerate the driver's fanout in.
+    order the assemblers enumerate that gate's fanout in.
     """
     nl = Netlist("flopfan")
     for pi in ("a", "b"):
@@ -245,20 +267,24 @@ import hashlib
 import numpy as np
 from repro.library import CellLibrary
 from repro.core.formulate import build_formulation
-from tests.test_formulate_vectorized import _flop_fanout_context
+from tests.test_formulate_vectorized import (
+    _flop_fanout_context,
+    reference_formulation,
+)
 
 ctx = _flop_fanout_context(CellLibrary("65nm"))
-for backend in ("reference", "vector"):
-    f = build_formulation(ctx, 10.0, backend=backend)
+for name, build in (("reference", reference_formulation),
+                    ("vector", build_formulation)):
+    f = build(ctx, 10.0)
     h = hashlib.sha256(f.A.toarray().tobytes() + f.u.tobytes())
-    print(backend, h.hexdigest())
+    print(name, h.hexdigest())
 """
 
 
 class TestEndpointRowOrder:
     def test_vector_matches_reference_rows(self, lib65):
         ctx = _flop_fanout_context(lib65)
-        ref, vec = both_backends(ctx, 10.0)
+        ref, vec = both_assemblies(ctx, 10.0)
         assert_formulations_identical(ref, vec)
         assert np.array_equal(ref.A.toarray(), vec.A.toarray())
         # PO row + one row per distinct flop the driver feeds

@@ -61,3 +61,24 @@ class TestGLBias:
             result.leakage_improvement_pct - 0.5
         )
         assert loose.mct <= ctx.baseline.mct * 1.03 + 1e-9
+
+    def test_depth_through_matches_dict_walk(self, ctx):
+        """The graph-derived longest-path gate counts equal a per-gate
+        dict walk over the netlist's fanin/fanout lists."""
+        from repro.core.glbias import _depth_through
+
+        nl, lib = ctx.netlist, ctx.library
+        order = nl.topological_order(lib)
+        is_seq = {g: lib.cell(nl.gates[g].master).is_sequential for g in order}
+        lvl_up = {}
+        for g in order:
+            fanins = [] if is_seq[g] else nl.fanin_gates(g)
+            lvl_up[g] = 1 + max((lvl_up[d] for d in fanins), default=0)
+        lvl_down = {g: 1 for g in order}
+        for g in reversed(order):
+            for succ in nl.fanout_gates(g):
+                if not is_seq[succ]:
+                    lvl_down[g] = max(lvl_down[g], 1 + lvl_down[succ])
+        walk = {g: lvl_up[g] + lvl_down[g] - 1 for g in order}
+        assert max(walk.values()) > 2
+        assert _depth_through(ctx.graph) == walk

@@ -7,7 +7,7 @@ from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, net_hpwl, place_design
 from repro.route import GlobalRouter, RoutingGrid
 from repro.route.router import _l_paths
-from repro.sta import TimingAnalyzer
+from repro.sta.timing import TimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +135,12 @@ class TestRouter:
 
 
 class TestSTAIntegration:
-    def test_routed_lengths_increase_loads(self, routed_design):
+    def test_routed_lengths_increase_loads(self, routed_design, engine):
         """Routed lengths are gcell-quantized upper estimates of HPWL,
         so routed MCT lands above the HPWL MCT but in the same regime."""
         d, pl, result = routed_design
-        base = TimingAnalyzer(d.netlist, d.library, pl).analyze()
-        routed = TimingAnalyzer(
+        base = engine(d.netlist, d.library, pl).analyze()
+        routed = engine(
             d.netlist, d.library, pl, net_lengths=result.net_lengths
         ).analyze()
         assert routed.mct >= base.mct * 0.99
@@ -157,3 +157,9 @@ class TestSTAIntegration:
                 rt.append(result.net_lengths[net_name])
         corr = np.corrcoef(hp, rt)[0, 1]
         assert corr > 0.7
+
+
+class TestSTAIntegrationOracle(TestSTAIntegration):
+    """The routed-length tests on the dict oracle (``tests/conftest.py``)."""
+
+    sta_engine = TimingAnalyzer

@@ -1,16 +1,16 @@
-"""Unit tests for the STA engine and path enumeration."""
+"""Unit tests for the STA engine and path enumeration.
+
+Every engine-bound class runs on the flow's engine; its ``...Oracle``
+subclass reruns it on the dict oracle (see ``tests/conftest.py``).
+"""
 
 import pytest
 
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, place_design
-from repro.sta import (
-    TimingAnalyzer,
-    criticality_histogram,
-    net_wire_cap,
-    top_k_paths,
-)
+from repro.sta import criticality_histogram, net_wire_cap, top_k_paths
+from repro.sta.timing import TimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -41,61 +41,66 @@ def _chain(n=5, master="INVX1"):
 
 
 @pytest.fixture(scope="module")
-def aes():
+def aes_design():
     d = make_design("AES-65")
-    pl = place_design(d)
-    ta = TimingAnalyzer(d.netlist, d.library, pl)
+    return d, place_design(d)
+
+
+@pytest.fixture(scope="class")
+def aes(aes_design, engine):
+    d, pl = aes_design
+    ta = engine(d.netlist, d.library, pl)
     return d, pl, ta, ta.analyze()
 
 
 class TestForwardPass:
-    def test_chain_arrival_monotone(self, lib65):
+    def test_chain_arrival_monotone(self, lib65, engine):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = engine(nl, lib65, _place_all(nl)).analyze()
         arr = [res.arrival[f"u{i}"] for i in range(5)]
         assert all(b > a for a, b in zip(arr, arr[1:]))
 
-    def test_mct_is_max_endpoint(self, lib65):
+    def test_mct_is_max_endpoint(self, lib65, engine):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = engine(nl, lib65, _place_all(nl)).analyze()
         assert res.mct == pytest.approx(max(res.endpoint_arrival.values()))
         assert res.mct == pytest.approx(res.arrival["u4"])
 
-    def test_longer_chain_longer_mct(self, lib65):
+    def test_longer_chain_longer_mct(self, lib65, engine):
         short = _chain(3)
         long = _chain(9)
-        mct_s = TimingAnalyzer(short, lib65, _place_all(short)).analyze().mct
-        mct_l = TimingAnalyzer(long, lib65, _place_all(long)).analyze().mct
+        mct_s = engine(short, lib65, _place_all(short)).analyze().mct
+        mct_l = engine(long, lib65, _place_all(long)).analyze().mct
         assert mct_l > 2 * mct_s
 
-    def test_ff_starts_and_ends_paths(self, lib65):
+    def test_ff_starts_and_ends_paths(self, lib65, engine):
         nl = Netlist("seq")
         nl.add_primary_input("in")
         nl.add_gate("u0", "INVX1", ["in"], "d")
         nl.add_gate("ff", "DFFX1", ["d"], "q")
         nl.add_gate("u1", "INVX1", ["q"], "out")
         nl.add_primary_output("out")
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = engine(nl, lib65, _place_all(nl)).analyze()
         # FF D endpoint includes setup; FF output launches at clk->q
         assert any(k.startswith("FF:ff") for k in res.endpoint_arrival)
         assert res.arrival["ff"] > 0  # clk->q
         # the input cone does not accumulate into the output cone
         assert res.arrival["u1"] < res.arrival["u0"] + res.arrival["ff"] + 1.0
 
-    def test_dose_speeds_up_timing(self, lib65):
+    def test_dose_speeds_up_timing(self, lib65, engine):
         nl = _chain(6)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = engine(nl, lib65, pl)
         base = ta.analyze().mct
         fast = ta.analyze(doses={f"u{i}": (5.0, 0.0) for i in range(6)}).mct
         slow = ta.analyze(doses={f"u{i}": (-5.0, 0.0) for i in range(6)}).mct
         assert fast < base < slow
 
-    def test_partial_dose_map(self, lib65):
+    def test_partial_dose_map(self, lib65, engine):
         """Gates missing from the dose dict stay at nominal."""
         nl = _chain(6)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = engine(nl, lib65, pl)
         base = ta.analyze().mct
         partial = ta.analyze(doses={"u0": (5.0, 0.0)}).mct
         full = ta.analyze(doses={f"u{i}": (5.0, 0.0) for i in range(6)}).mct
@@ -107,10 +112,10 @@ class TestSlack:
         _d, _pl, _ta, res = aes
         assert res.worst_slack == pytest.approx(0.0, abs=1e-9)
 
-    def test_slack_with_relaxed_clock(self, lib65):
+    def test_slack_with_relaxed_clock(self, lib65, engine):
         nl = _chain(4)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = engine(nl, lib65, pl)
         mct = ta.analyze().mct
         res = ta.analyze(clock_period=mct + 1.0)
         assert res.worst_slack == pytest.approx(1.0, abs=1e-9)
@@ -139,15 +144,15 @@ class TestWireModel:
         c_far = net_wire_cap(nl, far, "n0", lib65.node)
         assert c_far > 10 * c_near
 
-    def test_far_placement_slower(self, lib65):
+    def test_far_placement_slower(self, lib65, engine):
         nl = _chain(4)
         near = Placement(_die())
         far = Placement(_die())
         for i in range(4):
             near.place(f"u{i}", float(i), 0.0)
             far.place(f"u{i}", (i % 2) * 38.0, 1.8 * (i % 5))
-        mct_near = TimingAnalyzer(nl, lib65, near).analyze().mct
-        mct_far = TimingAnalyzer(nl, lib65, far).analyze().mct
+        mct_near = engine(nl, lib65, near).analyze().mct
+        mct_far = engine(nl, lib65, far).analyze().mct
         assert mct_far > mct_near
 
 
@@ -171,17 +176,17 @@ class TestPaths:
             for a, b in zip(p.gates, p.gates[1:]):
                 assert b in d.netlist.fanout_gates(a)
 
-    def test_path_delay_consistent_with_dag(self, lib65):
+    def test_path_delay_consistent_with_dag(self, lib65, engine):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = engine(nl, lib65, _place_all(nl)).analyze()
         paths = top_k_paths(nl, lib65, res, 3)
         assert len(paths) == 1  # a chain has exactly one path
         assert paths[0].gates == tuple(f"u{i}" for i in range(5))
         assert paths[0].endpoint.startswith("PO:")
 
-    def test_k_validation(self, lib65):
+    def test_k_validation(self, lib65, engine):
         nl = _chain(3)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = engine(nl, lib65, _place_all(nl)).analyze()
         with pytest.raises(ValueError, match="positive"):
             top_k_paths(nl, lib65, res, 0)
 
@@ -218,3 +223,20 @@ class TestPowerAnalysis:
         base = total_leakage(d.netlist, d.library)
         doses = {g: (3.0, 0.0) for g in d.netlist.gates}
         assert total_leakage(d.netlist, d.library, doses) > base
+
+
+# ---- the same unit tests on the dict oracle --------------------------
+class TestForwardPassOracle(TestForwardPass):
+    sta_engine = TimingAnalyzer
+
+
+class TestSlackOracle(TestSlack):
+    sta_engine = TimingAnalyzer
+
+
+class TestWireModelOracle(TestWireModel):
+    sta_engine = TimingAnalyzer
+
+
+class TestPathsOracle(TestPaths):
+    sta_engine = TimingAnalyzer

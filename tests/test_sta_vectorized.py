@@ -19,14 +19,9 @@ from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, place_design
 import numpy as np
 
-from repro.sta import (
-    DEFAULT_STA_BACKEND,
-    TimingAnalyzer,
-    VectorTimingAnalyzer,
-    make_analyzer,
-)
+from repro.sta import VectorTimingAnalyzer, analyze_hold, check_electrical_rules
 from repro.sta.compiled import CompiledTimingGraph, lex_max_reduce
-from repro.sta.timing import beats_worst_pin
+from repro.sta.timing import TimingAnalyzer, beats_worst_pin
 
 ATOL = 1e-9
 
@@ -286,35 +281,17 @@ class TestTieBreak:
         assert_equivalent(r, v, atol=0.0)
 
 
-class TestBackendFactory:
-    def test_default_backend_is_vector(self):
-        assert DEFAULT_STA_BACKEND in ("vector", "reference")
-
-    def test_make_analyzer_types(self, lib65):
-        nl = Netlist("f")
-        nl.add_primary_input("a")
-        nl.add_gate("u", "INVX1", ["a"], "o")
-        nl.add_primary_output("o")
-        die = Die(width=40.0, height=9.0, row_height=1.8, site_width=0.2)
-        pl = Placement(die)
-        pl.place("u", 1.0, 0.0)
-        assert isinstance(
-            make_analyzer(nl, lib65, pl, backend="reference"), TimingAnalyzer
-        )
-        assert isinstance(
-            make_analyzer(nl, lib65, pl, backend="vector"),
-            VectorTimingAnalyzer,
-        )
-        with pytest.raises(ValueError, match="unknown STA backend"):
-            make_analyzer(nl, lib65, pl, backend="nope")
-
-    def test_graph_sharing_via_rebind(self, lib65):
+class TestGraphBinding:
+    def test_shared_graph_on_other_placement(self, lib65):
+        """An engine built on another placement with a shared graph
+        (what ``DesignContext.analyzer_for`` does) equals the oracle."""
         bundle = make_design("AES-65", scale=0.2)
         pl = place_design(bundle, seed=7)
         vec = VectorTimingAnalyzer(bundle.netlist, bundle.library, pl)
         other = place_design(bundle, seed=11)
-        vec2 = vec.rebind(other)
-        assert vec2.graph is vec.graph
+        vec2 = VectorTimingAnalyzer(
+            bundle.netlist, bundle.library, other, graph=vec.graph
+        )
         r = TimingAnalyzer(bundle.netlist, bundle.library, other).analyze()
         assert_equivalent(r, vec2.analyze())
 
@@ -359,3 +336,38 @@ class TestReferenceCaches:
         doses = random_doses(bundle.netlist, bundle.library, seed=5)
         ta.analyze(doses)
         assert ta._nominal_loads is None
+
+
+class TestHoldErcOnBothEngines:
+    """Hold and ERC read only an engine's public outputs (``analyze``
+    loads and slews) plus the netlist and library, so the flow's engine
+    and the oracle must give identical results."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        from repro.core import DesignContext
+        from repro.dosemap import DoseMap, GridPartition
+        from tests.test_regression_snapshot import _VARIATION_GOLDENS
+
+        ctx = DesignContext(make_design("AES-65", scale=0.25))
+        die = ctx.placement.die
+        qcp = DoseMap(
+            GridPartition(die.width, die.height, 10.0), "poly",
+            _VARIATION_GOLDENS["AES-65"]["dose_map"],
+        )
+        return ctx, {"nominal": None, "qcp": ctx.gate_doses(qcp)}
+
+    @pytest.mark.parametrize("dose", ["nominal", "qcp"])
+    def test_identical_results(self, case, dose):
+        ctx, doses = case
+        results = []
+        for engine in (VectorTimingAnalyzer, TimingAnalyzer):
+            ta = engine(ctx.netlist, ctx.library, ctx.placement)
+            results.append((
+                analyze_hold(ta, doses[dose]),
+                check_electrical_rules(ta, doses[dose]),
+            ))
+        (hold_vec, erc_vec), (hold_ref, erc_ref) = results
+        assert hold_vec.hold_slack  # the design has flop endpoints
+        assert hold_vec == hold_ref
+        assert erc_vec == erc_ref
