@@ -9,7 +9,8 @@ resume and asserts:
 * the resumed rows are byte-identical to the uninterrupted run
   (wall-clock ``runtime`` excluded, by design);
 * exactly the surviving cells were served from the checkpoint
-  (``checkpoint_hit`` telemetry count);
+  (``checkpoint_hits`` on the resumed run's ``harness.run_dmopt_cells``
+  span);
 * the run manifest validates against the telemetry schema.
 
 Exits non-zero on any mismatch.
@@ -69,10 +70,12 @@ def main() -> int:
             return 1
 
         events = [json.loads(line) for line in open(manifest)]
-        hits = [e for e in events if e["event"] == "checkpoint_hit"]
-        if len(hits) != 2:
-            print(f"FAIL: expected 2 checkpoint hits, saw {len(hits)}",
-                  file=sys.stderr)
+        runs = [e for e in events if e["event"] == "span"
+                and e["name"] == "harness.run_dmopt_cells"]
+        hits = [run["checkpoint_hits"] for run in runs]
+        if hits != [0, 2]:
+            print(f"FAIL: expected checkpoint hits [0, 2] (reference, "
+                  f"resumed run), saw {hits}", file=sys.stderr)
             return 1
 
         n, errors = telemetry.validate_manifest(manifest)

@@ -100,7 +100,6 @@ def _checkpointed_flow(ctx, args) -> FlowResult:
     so a re-run after an interruption skips straight to reporting (and
     dosePl, which golden-verifies its own swaps and stays live).
     """
-    from repro import telemetry
     from repro.obs import metrics
     from repro.resilience.checkpoint import (
         CheckpointStore,
@@ -119,7 +118,6 @@ def _checkpointed_flow(ctx, args) -> FlowResult:
     if payload is not None:
         dmopt = dmopt_result_from_payload(payload)
         metrics.inc("checkpoint.hits")
-        telemetry.emit("checkpoint_hit", key=key)
         print(f"dose-map solve resumed from {args.checkpoint}")
     else:
         dmopt = optimize_dose_map(

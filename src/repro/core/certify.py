@@ -39,6 +39,11 @@ budgeted for the quadratic model's underestimation of the exponential
 since the guard compensates for the model error without bounding it.
 Signoff consistency is a pure recomputation and gets only
 numerical-noise slack.
+
+With telemetry on, every certification counts into ``certify.ok`` or
+``certify.failed`` and observes each family's margin ``worst / tol``
+into the ``certify.margin.<family>`` histogram, whose max shows how
+close a run came to failing that family (1.0 is the tolerance edge).
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import telemetry
 from repro.core.dmopt import MODE_QP
 from repro.library.library import DOSE_STEP
+from repro.obs import metrics
 from repro.solver.diagnose import (
     FAMILY_DOSE_RANGE,
     FAMILY_SMOOTHNESS,
@@ -322,12 +327,11 @@ def certify_result(
         recomputed_mct=mct,
         recomputed_leakage=leak,
     )
-    telemetry.emit(
-        "certify",
-        ok=report.ok,
-        mode=res.mode,
-        families=report.violated_families,
-    )
+    metrics.inc("certify.ok" if report.ok else "certify.failed")
+    for check in checks:
+        # worst / tol: 1.0 is the edge of the family's tolerance
+        metrics.observe(f"certify.margin.{check.family}",
+                        check.worst / check.tol)
     if attach:
         res.certificate = report
     return report

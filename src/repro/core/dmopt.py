@@ -119,9 +119,9 @@ def _spanned(fn):
     """Run a DMopt call under a ``dmopt`` tracing span (no-op when off).
 
     The span carries the design / grid / mode attributes and, on the
-    way out, the solve status -- so a run manifest shows one ``dmopt``
-    node per optimization with ``dmopt.solve`` / ``dmopt.signoff`` /
-    ``dmopt.diagnose`` children.
+    way out, the result's ``status`` and golden ``mct`` / ``leakage``
+    -- so a run manifest shows one ``dmopt`` node per optimization with
+    ``dmopt.solve`` / ``dmopt.signoff`` / ``dmopt.diagnose`` children.
     """
 
     @functools.wraps(fn)
@@ -137,7 +137,8 @@ def _spanned(fn):
         ) as sp:
             res = fn(ctx, grid_size, *args, **kwargs)
             if sp is not None:
-                sp["status"] = res.status
+                sp.update(status=res.status, mct=res.mct,
+                          leakage=res.leakage)
             return res
 
     return wrapper
@@ -330,19 +331,18 @@ def optimize_dose_map(
     if solve.failed:
         # degrade gracefully: attribute the failure to a constraint
         # family, hand back the untouched baseline (zero delta doses)
-        with obs.span("dmopt.diagnose"):
+        with obs.span("dmopt.diagnose") as sp:
             report = diagnose_infeasibility(
                 form, tau=tau, qp_kwargs=qp_kwargs
             )
+            if sp is not None:
+                sp.update(
+                    blocking=report.blocking,
+                    tau_min=report.tau_min,
+                    tau_slack_needed=report.tau_slack_needed,
+                    probes=report.probes,
+                )
         poly, active, _ = form.split(np.zeros(form.n_vars))
-        telemetry.emit(
-            "dmopt",
-            mode=mode,
-            status=solve.status,
-            grid_size=float(grid_size),
-            blocking=report.blocking,
-            seconds=time.perf_counter() - t_start,
-        )
         return DMoptResult(
             mode=mode,
             dose_map_poly=poly,
@@ -359,15 +359,6 @@ def optimize_dose_map(
             infeasibility=report,
         )
 
-    telemetry.emit(
-        "dmopt",
-        mode=mode,
-        status=solve.status,
-        grid_size=float(grid_size),
-        mct=golden.mct,
-        leakage=leak,
-        seconds=time.perf_counter() - t_start,
-    )
     return DMoptResult(
         mode=mode,
         dose_map_poly=poly,

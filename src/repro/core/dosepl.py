@@ -14,6 +14,12 @@ non-critical cells into low-dose regions, subject to:
 After each round the placement is legalized, "ECO routed" (wire parasitics
 recomputed from the new geometry) and golden STA decides accept/rollback;
 rolled-back cells are marked fixed.  Default 10 rounds, as in the paper.
+
+With telemetry on, a pass counts into the ``dosepl.rounds``,
+``dosepl.rounds_accepted``, ``dosepl.swaps_attempted``,
+``dosepl.swaps_accepted`` (swaps of accepted rounds) and
+``dosepl.trial_rejected`` metrics; the per-round MCT is
+:attr:`DoseplResult.history`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro import telemetry
+from repro.obs import metrics
 from repro.placement import incident_hpwl, legalize
 from repro.sta import top_k_paths
 
@@ -311,21 +317,21 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             ctx, dose_map, work, golden, cfg, fixed, stats,
             timer, doses, work_mct,
         )
+        metrics.inc("dosepl.rounds")
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))
-            telemetry.emit("dosepl_round", round=rnd, swaps=0,
-                           accepted=False, mct=best_mct)
             continue
         # legalize + "ECO route": parasitics recomputed from new geometry
         trial = legalize(work, ctx.netlist, ctx.library)
         trial_res, trial_leak = ctx.golden_eval(
             dose_map, placement=trial
         )
-        round_accepted = trial_res.mct < best_mct - 1e-12
-        if round_accepted:
+        if trial_res.mct < best_mct - 1e-12:
             place, golden = trial, trial_res
             best_mct, best_leak = trial_res.mct, trial_leak
             accepted += 1
+            metrics.inc("dosepl.rounds_accepted")
+            metrics.inc("dosepl.swaps_accepted", swaps_done)
         else:
             # rollback: mark the cells involved as fixed
             fixed.update(stats["swapped_cells"])
@@ -334,19 +340,9 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             ctx, dose_map, work, place, timer, doses
         )
         history.append((rnd, best_mct, best_leak))
-        telemetry.emit("dosepl_round", round=rnd, swaps=swaps_done,
-                       accepted=round_accepted, mct=best_mct)
 
-    telemetry.emit(
-        "dosepl",
-        rounds_run=cfg.rounds,
-        swaps_accepted=accepted,
-        swaps_attempted=stats["attempted"],
-        trial_rejected=stats["trial_rejected"],
-        mct=best_mct,
-        baseline_mct=baseline_mct,
-        seconds=time.perf_counter() - t_start,
-    )
+    metrics.inc("dosepl.swaps_attempted", stats["attempted"])
+    metrics.inc("dosepl.trial_rejected", stats["trial_rejected"])
     return DoseplResult(
         placement=place,
         mct=best_mct,

@@ -132,8 +132,10 @@ def dmopt_dose_range_sweep(
         Optional path to a JSONL checkpoint file; each converged point
         is appended (fsync'd) under a content hash of (design
         fingerprint, grid, mode, dose range, kwargs).  With ``resume``
-        (default) already-present points are rebuilt from the file (a
-        ``checkpoint_hit`` telemetry event each) instead of re-solved.
+        (default) already-present points are rebuilt from the file
+        (counted in the ``checkpoint.hits`` metric and the
+        ``sweep.dose_range`` span's ``checkpoint_hits``) instead of
+        re-solved.
         A resumed point carries no solver iterate, so the next solve
         cold-starts -- the poisonous-seed rule -- which is safe because
         golden numbers are warm/cold invariant.
@@ -143,7 +145,7 @@ def dmopt_dose_range_sweep(
     Returns the list of :class:`~repro.core.dmopt.DMoptResult` in
     ``dose_ranges`` order.
     """
-    from repro import obs, telemetry
+    from repro import obs
     from repro.core.dmopt import optimize_dose_map
     from repro.obs import metrics
     from repro.resilience.checkpoint import (
@@ -160,8 +162,9 @@ def dmopt_dose_range_sweep(
     )
     results = []
     prev = None
+    hits = 0
     with obs.span("sweep.dose_range", mode=mode, grid=float(grid_size),
-                  n_points=len(list(dose_ranges))):
+                  n_points=len(list(dose_ranges))) as sweep_span:
         for dose_range in dose_ranges:
             key = None
             if store is not None:
@@ -173,7 +176,7 @@ def dmopt_dose_range_sweep(
                 if payload is not None:
                     res = dmopt_result_from_payload(payload)
                     metrics.inc("checkpoint.hits")
-                    telemetry.emit("checkpoint_hit", key=key)
+                    hits += 1
                     results.append(res)
                     # no iterate to seed from: the next point starts cold
                     prev = None
@@ -184,7 +187,8 @@ def dmopt_dose_range_sweep(
                 if (warm_start and prev is not None and prev.ok)
                 else None
             )
-            with obs.span("sweep.point", dose_range=float(dose_range)):
+            with obs.span("sweep.point",
+                          dose_range=float(dose_range)) as sp:
                 res = optimize_dose_map(
                     ctx,
                     grid_size,
@@ -193,20 +197,17 @@ def dmopt_dose_range_sweep(
                     warm_start=seed,
                     **dmopt_kwargs,
                 )
-            telemetry.emit(
-                "sweep_point",
-                dose_range=float(dose_range),
-                status=res.status,
-                mct=res.mct,
-                leakage=res.leakage,
-                warm=seed is not None,
-            )
+                if sp is not None:
+                    sp.update(status=res.status, mct=res.mct,
+                              leakage=res.leakage, warm=seed is not None)
             if store is not None and res.ok:
                 # failed points are not recorded: a failure may be
                 # environmental (chaos, time budget) and must re-run
                 store.put(key, dmopt_result_payload(res), kind="sweep_point")
             results.append(res)
             prev = res
+        if sweep_span is not None:
+            sweep_span["checkpoint_hits"] = hits
     if store is not None:
         store.close()
     return results

@@ -20,11 +20,10 @@ or the experiment CLI's ``--jobs`` flag (see :func:`resolve_jobs`).
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro import obs, telemetry
+from repro import obs
 from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
 from repro.obs import metrics
 from repro.resilience import chaos
@@ -138,10 +137,10 @@ def parallel_map(fn, items, jobs: int = None,
     instead of poisoning the run, and a broken pool (OOM kill, hard
     crash) is recreated once for the remaining items before degrading
     to serial -- so the result list is hole-free and deterministic even
-    on a lossy pool.  Each retry is a ``worker_retry`` telemetry event
-    and each pool recreation a ``pool_restart`` event; an item that
-    fails again in the parent raises normally (a real bug, not a worker
-    casualty).
+    on a lossy pool.  Retries and pool recreations are counted in the
+    ``harness.worker_retries`` and ``harness.pool_restarts`` metrics; an
+    item that fails again in the parent raises normally (a real bug,
+    not a worker casualty).
 
     This is a thin veneer over
     :func:`repro.resilience.watchdog.supervised_map`, which adds
@@ -217,7 +216,7 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
     from repro.core import optimize_dose_map
 
     with obs.span("cell", design=cell.design, grid=float(cell.grid_size),
-                  mode=cell.mode):
+                  mode=cell.mode) as sp:
         ctx = _cell_context(
             cell.design, cell.scale, cell.fit_width or cell.both_layers
         )
@@ -231,6 +230,8 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
             method=cell.method,
             time_limit=time_limit,
         )
+        if sp is not None:
+            sp["status"] = res.solve.status
     out = {
         "design": cell.design,
         "grid_size": cell.grid_size,
@@ -261,7 +262,7 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
 def _run_cell_task(task) -> dict:
     """Worker entry for one ``(index, cell, certify, time_limit)`` task.
 
-    The index is only for chaos targeting and telemetry; the result
+    The index is only for chaos targeting; the result
     dict is identical to :func:`run_dmopt_cell`'s.
     """
     index, cell, certify, time_limit = task
@@ -329,7 +330,9 @@ def run_dmopt_cells(
     ``REPRO_JOBS``) this is a plain serial loop.  A crashed or killed
     worker does not hole the results: its cell is re-run serially in
     the parent (one pool recreation first, if the whole pool died) and
-    the recovery is recorded in the telemetry manifest.
+    the recovery is recorded on the ``harness.run_dmopt_cells`` span
+    (``retries``, ``pool_restarts``, ``timeouts``, ``timed_out``,
+    ``checkpoint_hits``).
 
     Parameters
     ----------
@@ -337,10 +340,10 @@ def run_dmopt_cells(
         Optional path to a JSONL checkpoint file.  Each completed cell
         is appended (fsync'd) under its content-hash key; with
         ``resume`` (default) cells whose key is already present are
-        served from the file (a ``checkpoint_hit`` telemetry event
-        each) instead of re-run, so an interrupted run restarts where
-        it stopped.  Watchdog-timeout rows are *not* checkpointed --
-        they re-run on resume.
+        served from the file (counted in the ``checkpoint.hits`` metric
+        and the span's ``checkpoint_hits``) instead of re-run, so an
+        interrupted run restarts where it stopped.  Watchdog-timeout
+        rows are *not* checkpointed -- they re-run on resume.
     resume:
         When False an existing checkpoint file is truncated first.
     cell_timeout:
@@ -355,14 +358,11 @@ def run_dmopt_cells(
         :class:`CellCertificationError` if any converged cell fails.
     """
     cells = list(cells)
-    t0 = time.perf_counter()
     timeout = resolve_cell_timeout(cell_timeout)
     jobs_resolved = resolve_jobs(jobs)
-    telemetry.emit("run_begin", run="dmopt_cells", n_cells=len(cells),
-                   jobs=jobs_resolved)
 
     with obs.span("harness.run_dmopt_cells", n_cells=len(cells),
-                  jobs=jobs_resolved):
+                  jobs=jobs_resolved) as sp:
         store = None
         keys = [None] * len(cells)
         results = [None] * len(cells)
@@ -376,11 +376,11 @@ def run_dmopt_cells(
                 if payload is not None:
                     results[idx] = payload
                     metrics.inc("checkpoint.hits")
-                    telemetry.emit("checkpoint_hit", key=keys[idx])
                 else:
                     todo.append(idx)
 
         stats = MapStats()
+        timed_out = []
         if todo:
             tasks = [(idx, cells[idx], certify, timeout) for idx in todo]
 
@@ -389,8 +389,7 @@ def run_dmopt_cells(
                 results[idx] = res
                 if res.get("status") == STATUS_TIMEOUT:
                     metrics.inc("watchdog.kills")
-                    telemetry.emit("watchdog_kill", index=idx,
-                                   seconds=res.get("runtime"))
+                    timed_out.append(idx)
                 elif store is not None:
                     store.put(keys[idx], res, kind="dmopt_cell")
 
@@ -405,15 +404,14 @@ def run_dmopt_cells(
             )
         if store is not None:
             store.close()
-
-        for idx, (cell, res) in enumerate(zip(cells, results)):
-            telemetry.emit("cell_done", index=idx, design=cell.design,
-                           status=res["status"])
-    telemetry.emit("run_end", run="dmopt_cells",
-                   seconds=time.perf_counter() - t0,
-                   retries=stats.retries,
-                   pool_restarts=stats.pool_restarts,
-                   timeouts=stats.timeouts)
+        if sp is not None:
+            sp.update(
+                retries=stats.retries,
+                pool_restarts=stats.pool_restarts,
+                timeouts=stats.timeouts,
+                timed_out=sorted(timed_out),
+                checkpoint_hits=len(cells) - len(todo),
+            )
     metrics.flush("run_end")
     if certify:
         _enforce_certification(cells, results)

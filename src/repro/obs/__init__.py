@@ -8,10 +8,13 @@ Three pieces, all riding on the :mod:`repro.telemetry` manifest:
 * :mod:`repro.obs.metrics` -- process-wide counters / gauges /
   log-bucket histograms, flushed as one ``metrics`` event per process
   at exit;
-* the analysis CLI (``python -m repro.obs``) with ``report`` (stage
-  tree, top spans, solver convergence stats, cache-hit rates from a
+* the analysis CLI (``python -m repro.obs``) with ``report`` (span
+  tree, top spans, merged metrics and cache-hit rates from a
   manifest) and ``compare`` (perf-regression gate over two
   ``BENCH_*.json`` files).
+
+A manifest holds only these two record kinds: ``span`` and
+``metrics`` (see :mod:`repro.telemetry`).
 
 Everything is a no-op while telemetry is off (``REPRO_TELEMETRY`` /
 ``--trace`` / ``telemetry.configure``), so instrumented hot paths pay

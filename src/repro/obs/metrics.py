@@ -1,11 +1,12 @@
 """Process-wide metrics registry: counters, gauges, log-bucket histograms.
 
-Cheap always-callable instrumentation for the hot paths the profiler
-cannot see individually: formulation-cache hits, STA incremental vs
-full re-times, solver warm/cold iteration counts, fallback-chain
-attempts, watchdog kills, checkpoint hits.  Every mutator is a no-op
+Cheap always-callable instrumentation for the count-shaped facts of a
+run: formulation-cache hits, STA incremental vs full re-times, solver
+solves / statuses / iterations / final residuals, fallback-chain steps,
+watchdog kills, worker retries, checkpoint hits, dosePl rounds and
+swaps, certification outcomes and margins.  Every mutator is a no-op
 (one early-returning check) while telemetry is off, so instrumented
-code carries no measurable overhead in normal runs.
+code -- and its callers -- need no ``telemetry.enabled()`` guard.
 
 Accumulated values are flushed as a **single ``metrics`` event per
 process** when the process exits -- via ``atexit`` in ordinary
@@ -17,8 +18,13 @@ merges the per-process events back into run totals.
 
 Histograms use base-2 logarithmic buckets: an observation ``v`` lands
 in bucket ``ceil(log2(v))`` (bucket ``b`` holds ``2**(b-1) < v <=
-2**b``; zero and negative values land in the ``"-inf"`` bucket), which
-keeps solver-iteration and duration distributions compact at any scale.
+2**b``; zero, negative values and ``-inf`` land in the ``"-inf"``
+bucket, ``+inf`` in ``"inf"`` and NaN in ``"nan"``), which keeps
+solver-iteration and residual distributions compact at any scale.
+``count`` counts every observation; ``finite``, ``sum``, ``min`` and
+``max`` cover only the finite ones (``min``/``max`` are ``None`` until
+one arrives), so a diverged solve's NaN residual shows up in its bucket
+without poisoning the summary: the mean is ``sum / finite``.
 """
 
 from __future__ import annotations
@@ -73,8 +79,12 @@ def gauge(name: str, value: float):
 
 def bucket_of(value: float) -> str:
     """Log2 bucket label for ``value`` (see module docstring)."""
-    if value <= 0 or not math.isfinite(value):
-        return "-inf" if value <= 0 else "inf"
+    if math.isnan(value):
+        return "nan"
+    if value <= 0:
+        return "-inf"
+    if math.isinf(value):
+        return "inf"
     return str(max(math.ceil(math.log2(value)), -64))
 
 
@@ -89,16 +99,20 @@ def observe(name: str, value: float):
         if hist is None:
             hist = _reg.histograms[name] = {
                 "count": 0,
+                "finite": 0,
                 "sum": 0.0,
-                "min": value,
-                "max": value,
+                "min": None,
+                "max": None,
                 "buckets": {},
             }
         hist["count"] += 1
         if math.isfinite(value):
+            hist["finite"] += 1
             hist["sum"] += value
-            hist["min"] = min(hist["min"], value)
-            hist["max"] = max(hist["max"], value)
+            if hist["min"] is None or value < hist["min"]:
+                hist["min"] = value
+            if hist["max"] is None or value > hist["max"]:
+                hist["max"] = value
         hist["buckets"][label] = hist["buckets"].get(label, 0) + 1
 
 

@@ -1,4 +1,4 @@
-"""Manifest analysis: span trees, solver stats, metric roll-ups.
+"""Manifest analysis: span trees and metric roll-ups.
 
 ``python -m repro.obs report <manifest.jsonl>`` reassembles the flat
 JSONL run manifest (see :mod:`repro.telemetry`) into the things a human
@@ -10,12 +10,11 @@ asks of a run:
   all processes of the run);
 * **per-stage aggregates** (count, total, share of the root) and the
   top spans by *self* time (own duration minus child durations);
-* **solver statistics** from the ``solve``/``qcp`` events: per-backend
-  solve counts, warm vs cold iteration totals, status mix, and final
-  residuals taken from the attached convergence traces;
-* **run totals** merged from every per-process ``metrics`` flush, with
-  derived rates (formulation cache hit rate, STA incremental re-time
-  fraction).
+* **run totals** merged from every per-process ``metrics`` flush --
+  among them the solver roll-up (per-backend solves, status mix, warm
+  vs cold iterations, final residuals) and the certification margins
+  -- with derived rates (formulation cache hit rate, STA incremental
+  re-time fraction).
 
 Everything here is read-only over a manifest file; nothing imports the
 solvers or the STA, so the report tool works on manifests from other
@@ -161,77 +160,6 @@ def aggregate_spans(traces) -> dict:
 
 
 # ----------------------------------------------------------------------
-# solver statistics
-# ----------------------------------------------------------------------
-def solver_stats(records) -> dict:
-    """Per-backend roll-up of the ``solve`` events (+ a ``qcp`` entry).
-
-    ``residuals`` holds the final ``(r_prim, r_dual)`` medians over the
-    attached per-iteration convergence traces -- i.e. where the solvers
-    actually stopped, not just the verdict statuses.
-    """
-    stats = {}
-    for rec in records:
-        if rec.get("event") == "solve":
-            entry = stats.setdefault(
-                rec.get("backend", "?"),
-                {
-                    "solves": 0,
-                    "iterations": 0,
-                    "warm": 0,
-                    "cold": 0,
-                    "statuses": {},
-                    "trace_points": 0,
-                    "final_r_prim": [],
-                    "final_r_dual": [],
-                },
-            )
-            entry["solves"] += 1
-            entry["iterations"] += int(rec.get("iterations", 0))
-            entry["warm" if rec.get("warm_started") else "cold"] += 1
-            status = rec.get("status", "?")
-            entry["statuses"][status] = entry["statuses"].get(status, 0) + 1
-            trace = rec.get("trace") or []
-            entry["trace_points"] += len(trace)
-            if trace:
-                last = trace[-1]
-                # ipm rows are (it, mu, r_prim, r_dual); admm rows are
-                # (k, r_prim, r_dual, rho)
-                if rec.get("backend") == "ipm" and len(last) >= 4:
-                    entry["final_r_prim"].append(float(last[2]))
-                    entry["final_r_dual"].append(float(last[3]))
-                elif len(last) >= 3:
-                    entry["final_r_prim"].append(float(last[1]))
-                    entry["final_r_dual"].append(float(last[2]))
-        elif rec.get("event") == "qcp":
-            entry = stats.setdefault(
-                "qcp",
-                {
-                    "solves": 0,
-                    "inner_solves": 0,
-                    "iterations": 0,
-                    "statuses": {},
-                },
-            )
-            entry["solves"] += 1
-            entry["inner_solves"] += int(rec.get("inner_solves", 0))
-            entry["iterations"] += int(rec.get("iterations", 0))
-            status = rec.get("status", "?")
-            entry["statuses"][status] = entry["statuses"].get(status, 0) + 1
-    return stats
-
-
-def _median(values):
-    if not values:
-        return None
-    vals = sorted(values)
-    mid = len(vals) // 2
-    if len(vals) % 2:
-        return vals[mid]
-    return 0.5 * (vals[mid - 1] + vals[mid])
-
-
-# ----------------------------------------------------------------------
 # metrics roll-up
 # ----------------------------------------------------------------------
 def merge_metrics(records) -> dict:
@@ -246,19 +174,24 @@ def merge_metrics(records) -> dict:
             counters[name] = counters.get(name, 0) + n
         gauges.update(rec.get("gauges") or {})
         for name, hist in (rec.get("histograms") or {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    **hist, "buckets": dict(hist.get("buckets") or {})
-                }
-                continue
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            merged["min"] = min(merged["min"], hist.get("min", merged["min"]))
-            merged["max"] = max(merged["max"], hist.get("max", merged["max"]))
+            merged = histograms.setdefault(name, {
+                "count": 0, "finite": 0, "sum": 0.0, "min": None,
+                "max": None, "buckets": {},
+            })
+            for key in ("count", "finite", "sum"):
+                merged[key] += hist.get(key, 0)
+            # min/max cover finite observations only: None = none yet
+            for key, pick in (("min", min), ("max", max)):
+                values = [v for v in (merged[key], hist.get(key))
+                          if v is not None]
+                merged[key] = pick(values) if values else None
             for label, n in (hist.get("buckets") or {}).items():
                 merged["buckets"][label] = merged["buckets"].get(label, 0) + n
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+
+def _fmt(value) -> str:
+    return "-" if value is None else f"{value:.4g}"
 
 
 def _rate(hits, misses):
@@ -301,7 +234,6 @@ def summarize(path) -> dict:
         "n_traces": len(traces),
         "root_seconds": sum(r.seconds for r in roots),
         "spans": aggregate_spans(traces),
-        "solvers": solver_stats(records),
         "metrics": metrics,
         "rates": derived_rates(metrics["counters"]),
     }
@@ -334,36 +266,6 @@ def format_report(path, max_depth: int = None, top: int = 10) -> str:
     else:
         lines.append("no span events (run without spans, or telemetry off)")
 
-    stats = solver_stats(records)
-    if stats:
-        lines.append("")
-        lines.append("== solver iterations ==")
-        for backend in sorted(stats):
-            entry = stats[backend]
-            statuses = ",".join(
-                f"{k}:{v}" for k, v in sorted(entry["statuses"].items())
-            )
-            if backend == "qcp":
-                lines.append(
-                    f"  qcp   {entry['solves']} solves, "
-                    f"{entry['inner_solves']} inner solves, "
-                    f"{entry['iterations']} inner iterations  [{statuses}]"
-                )
-                continue
-            mean = entry["iterations"] / max(entry["solves"], 1)
-            line = (
-                f"  {backend:<5} {entry['solves']} solves "
-                f"({entry['warm']} warm / {entry['cold']} cold), "
-                f"{entry['iterations']} iterations "
-                f"(mean {mean:.1f})  [{statuses}]"
-            )
-            rp = _median(entry["final_r_prim"])
-            rd = _median(entry["final_r_dual"])
-            if rp is not None:
-                line += f"  median final residuals r_prim={rp:.2e} " \
-                        f"r_dual={rd:.2e}"
-            lines.append(line)
-
     metrics = merge_metrics(records)
     if any(metrics.values()):
         lines.append("")
@@ -374,11 +276,14 @@ def format_report(path, max_depth: int = None, top: int = 10) -> str:
             lines.append(f"  {name:<38}{metrics['gauges'][name]:>9g}")
         for name in sorted(metrics["histograms"]):
             hist = metrics["histograms"][name]
-            mean = hist["sum"] / max(hist["count"], 1)
-            lines.append(
-                f"  {name:<38}{hist['count']:>9} obs  "
-                f"mean {mean:.1f}  min {hist['min']:g}  max {hist['max']:g}"
+            # finite-only mean (see repro.obs.metrics)
+            mean = hist["sum"] / hist["finite"] if hist["finite"] else None
+            summary = "  ".join(
+                f"{key} {_fmt(value)}" for key, value in (
+                    ("mean", mean), ("min", hist["min"]), ("max", hist["max"])
+                )
             )
+            lines.append(f"  {name:<38}{hist['count']:>9} obs  {summary}")
         rates = derived_rates(metrics["counters"])
         for name in sorted(rates):
             lines.append(f"  {name:<38}{rates[name]:>9.1%}")

@@ -19,9 +19,10 @@ it provides the recovery paths a long table run needs:
   remaining items run serially in the parent.
 * **Serial retry with backoff** -- an item whose worker raised an
   ordinary exception is re-run in the parent (a second failure raises:
-  that is a real bug, not a worker casualty).  Retry counts are
-  reported through ``stats`` and ``worker_retry`` telemetry events so
-  run manifests record how lossy the pool was.
+  that is a real bug, not a worker casualty).  Retry and restart counts
+  are reported through ``stats`` and the ``harness.worker_retries`` /
+  ``harness.pool_restarts`` metrics, so run manifests record how lossy
+  the pool was.
 
 Determinism: results are returned in input order, and every recovery
 path re-runs the same pure function on the same item, so a lossy run
@@ -38,7 +39,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro import telemetry
+from repro.obs import metrics
 
 ENV_CELL_TIMEOUT = "REPRO_CELL_TIMEOUT"
 
@@ -158,12 +159,9 @@ def supervised_map(
     ex = ProcessPoolExecutor(max_workers=workers)
     restarts_left = 1
 
-    def to_serial(idx, exc):
+    def to_serial(idx):
         stats.retries += 1
-        telemetry.emit(
-            "worker_retry", index=idx,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        metrics.inc("harness.worker_retries")
         serial.append(idx)
 
     def requeue_inflight():
@@ -178,7 +176,7 @@ def supervised_map(
             if ex is None:
                 # pool permanently gone: the rest runs in the parent
                 for idx in sorted(pending):
-                    to_serial(idx, BrokenProcessPool("pool unavailable"))
+                    to_serial(idx)
                 pending.clear()
                 break
             while pending and len(inflight) < workers:
@@ -197,17 +195,17 @@ def supervised_map(
                         raise
                     pool_broken = True
                     pending.appendleft(idx)
-                except Exception as exc:
+                except Exception:
                     if not retry_serial:
                         raise
-                    to_serial(idx, exc)
+                    to_serial(idx)
             if pool_broken:
                 requeue_inflight()
                 _kill_pool(ex)
                 if restarts_left > 0:
                     restarts_left -= 1
                     stats.pool_restarts += 1
-                    telemetry.emit("pool_restart", reason="broken_pool")
+                    metrics.inc("harness.pool_restarts")
                     time.sleep(_backoff(stats.pool_restarts))
                     ex = ProcessPoolExecutor(max_workers=workers)
                 else:

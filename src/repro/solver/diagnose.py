@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro import telemetry
 from repro.solver.robust import METHOD_IPM, solve_qp_robust
 
 #: Constraint family labels used in reports and probes.
@@ -178,13 +177,4 @@ def diagnose_infeasibility(
             report.tau_slack_needed = max(0.0, tau_min - float(tau))
 
     report.seconds = time.perf_counter() - t0
-    telemetry.emit(
-        "infeasibility",
-        blocking=report.blocking,
-        tau_requested=report.tau_requested,
-        tau_min=report.tau_min,
-        tau_slack_needed=report.tau_slack_needed,
-        probes=report.probes,
-        seconds=report.seconds,
-    )
     return report

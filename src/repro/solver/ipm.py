@@ -35,8 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro import obs, telemetry
-from repro.obs import metrics
+from repro import obs
 from repro.solver.guards import prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
@@ -45,6 +44,7 @@ from repro.solver.result import (
     STATUS_MAX_ITER,
     STATUS_SOLVED,
     SolveResult,
+    record_solve,
 )
 
 
@@ -290,7 +290,7 @@ def solve_qp_ipm(
     n = q.size
     short_circuit = prevalidate(P, q, A, l, u, t_start)
     if short_circuit is not None:
-        _emit_solve(short_circuit)
+        record_solve("ipm", short_circuit)
         return short_circuit
 
     ws = None
@@ -311,7 +311,7 @@ def solve_qp_ipm(
 
     # per-iteration convergence trace: always captured into a bounded
     # ring buffer (attached to info["trace"]; entries are
-    # (iter, mu, r_prim, r_dual)), emitted only when telemetry is on
+    # (iter, mu, r_prim, r_dual))
     trace = deque(maxlen=obs.TRACE_MAXLEN)
 
     if warm is None and x0 is not None:
@@ -460,28 +460,6 @@ def solve_qp_ipm(
         info=info,
         warm_started=warm_started,
     )
-    _emit_solve(result)
+    record_solve("ipm", result)
     return result
 
-
-def _emit_solve(result: SolveResult):
-    if not telemetry.enabled():
-        return
-    metrics.inc("solver.ipm.solves")
-    metrics.observe(
-        "solver.ipm.iterations."
-        + ("warm" if result.warm_started else "cold"),
-        result.iterations,
-    )
-    telemetry.emit(
-        "solve",
-        backend="ipm",
-        status=result.status,
-        iterations=result.iterations,
-        r_prim=result.r_prim,
-        r_dual=result.r_dual,
-        seconds=result.solve_time,
-        warm_started=result.warm_started,
-        trace=result.info.get("trace"),
-        note=result.info.get("note"),
-    )

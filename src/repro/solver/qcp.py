@@ -26,7 +26,7 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs, telemetry
+from repro import obs
 from repro.obs import metrics
 from repro.solver.robust import METHOD_ADMM, METHOD_IPM, solve_qp_robust
 from repro.solver.result import STATUS_MAX_ITER, SolveResult
@@ -168,19 +168,9 @@ def solve_qcp(
         if "attempts" in res.info:
             info["attempts"] = res.info["attempts"]
         final_status = status or res.status
-        if telemetry.enabled():
-            metrics.inc("solver.qcp.solves")
-            metrics.observe("solver.qcp.inner_solves", steps)
-        telemetry.emit(
-            "qcp",
-            status=final_status,
-            lam=lam,
-            inner_solves=steps,
-            iterations=total_iters,
-            seconds=time.perf_counter() - t_start,
-            brackets=list(brackets),
-            note=note,
-        )
+        metrics.inc("solver.qcp.solves")
+        metrics.inc(f"solver.qcp.status.{final_status}")
+        metrics.observe("solver.qcp.inner_solves", steps)
         return SolveResult(
             status=final_status,
             x=res.x,

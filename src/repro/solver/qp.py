@@ -25,14 +25,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro import obs, telemetry
-from repro.obs import metrics
+from repro import obs
 from repro.solver.guards import prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
     STATUS_MAX_ITER,
     STATUS_SOLVED,
     SolveResult,
+    record_solve,
 )
 
 _SIGMA = 1e-6
@@ -166,7 +166,7 @@ def solve_qp(
         raise ValueError("inconsistent problem dimensions")
     short_circuit = prevalidate(P, q, A, l, u, t_start)
     if short_circuit is not None:
-        _emit_solve(short_circuit)
+        record_solve("admm", short_circuit)
         return short_circuit
     P = 0.5 * (P + P.T)
 
@@ -312,28 +312,6 @@ def solve_qp(
         info=info,
         warm_started=warm_started,
     )
-    _emit_solve(result)
+    record_solve("admm", result)
     return result
 
-
-def _emit_solve(result: SolveResult):
-    if not telemetry.enabled():
-        return
-    metrics.inc("solver.admm.solves")
-    metrics.observe(
-        "solver.admm.iterations."
-        + ("warm" if result.warm_started else "cold"),
-        result.iterations,
-    )
-    telemetry.emit(
-        "solve",
-        backend="admm",
-        status=result.status,
-        iterations=result.iterations,
-        r_prim=result.r_prim,
-        r_dual=result.r_dual,
-        seconds=result.solve_time,
-        warm_started=result.warm_started,
-        trace=result.info.get("trace"),
-        note=result.info.get("note"),
-    )

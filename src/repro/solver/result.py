@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import metrics
+
 #: Converged within tolerances.
 STATUS_SOLVED = "solved"
 #: Iteration limit reached before convergence (best iterate returned).
@@ -100,3 +102,21 @@ def diagnostic_result(status: str, n: int, note: str,
         solve_time=solve_time,
         info=payload,
     )
+
+
+def record_solve(backend: str, result: SolveResult):
+    """Count one finished ``backend`` solve into the metrics registry.
+
+    Counters ``solver.<backend>.solves`` and
+    ``solver.<backend>.status.<status>``; histograms
+    ``solver.<backend>.iterations.{warm,cold}`` and the final
+    ``solver.<backend>.r_prim`` / ``.r_dual``.  A no-op while telemetry
+    is off; the convergence trace stays in ``result.info["trace"]``.
+    """
+    prefix = f"solver.{backend}"
+    metrics.inc(f"{prefix}.solves")
+    metrics.inc(f"{prefix}.status.{result.status}")
+    start = "warm" if result.warm_started else "cold"
+    metrics.observe(f"{prefix}.iterations.{start}", result.iterations)
+    metrics.observe(f"{prefix}.r_prim", result.r_prim)
+    metrics.observe(f"{prefix}.r_dual", result.r_dual)

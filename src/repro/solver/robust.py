@@ -20,8 +20,9 @@ recoverable numeric failure:
 ``infeasible`` is not retried across backends -- no solver can fix an
 infeasible problem -- but a warm-started infeasible verdict is
 re-checked cold once, since a bad seed can masquerade as dual blow-up.
-The full attempt trail is recorded in ``info["attempts"]`` and, when
-telemetry is on, as ``fallback`` events in the run manifest.
+The full attempt trail is recorded in ``info["attempts"]``; every step
+past the primary one also counts into the ``solver.fallback.attempts``
+and ``solver.fallback.step.<step>`` metrics.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import time
 
 import numpy as np
 
-from repro import telemetry
 from repro.obs import metrics
 from repro.resilience import chaos
 from repro.solver.ipm import solve_qp_ipm
@@ -171,14 +171,11 @@ def solve_qp_robust(
                 "iterations": res.iterations,
             }
         )
-        if telemetry.enabled() and step != primary:
+        if step != primary:
             # retries/backend switches only: the happy path is one
             # primary attempt and no fallback activity
             metrics.inc("solver.fallback.attempts")
             metrics.inc(f"solver.fallback.step.{step}")
-        telemetry.emit("fallback", step=step, backend=backend,
-                       status=res.status, iterations=res.iterations,
-                       r_prim=res.r_prim, r_dual=res.r_dual)
         results.append(res)
         return res
 

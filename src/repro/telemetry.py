@@ -1,10 +1,8 @@
-"""Structured run telemetry: stage timers, solver traces, JSONL manifests.
+"""Structured run telemetry: the JSONL run-manifest sink and its schema.
 
-Every optimization entry point (the solvers, DMopt, dosePl, the sweep
-drivers, and the parallel harness) emits structured events through this
-module.  Telemetry is **off by default** and costs one early-returning
-function call per event when disabled, so the hot paths carry no
-measurable overhead (the ``make bench-dmopt`` criterion).
+Telemetry is **off by default** and costs one early-returning check per
+call when disabled, so the hot paths carry no measurable overhead (the
+``make bench-dmopt`` criterion).
 
 Enabling it
 -----------
@@ -15,28 +13,34 @@ Enabling it
 * the CLIs: ``python -m repro optimize ... --trace run.jsonl`` and
   ``python -m repro.experiments ... --trace run.jsonl``.
 
-Events are appended as one JSON object per line (a *run manifest*).
+Records are appended as one JSON object per line (a *run manifest*).
 Worker processes inherit the environment configuration and append to
-the same manifest; each event is written as a single line so concurrent
-appends stay line-atomic on POSIX.
+the same manifest; each record is written as a single line so
+concurrent appends stay line-atomic on POSIX.
 
 Schema
 ------
-Every event carries ``v`` (schema version), ``ts`` (unix seconds),
+A manifest holds exactly two record kinds, both written through
+:func:`emit` by :mod:`repro.obs`:
+
+* ``span`` -- a timed region with attributes (:func:`repro.obs.span`);
+  region-shaped facts (a DMopt call's status and golden numbers, a
+  harness run's retries and timeouts) are span attributes;
+* ``metrics`` -- one per-process flush of the counters, gauges and
+  histograms of :mod:`repro.obs.metrics`; count-shaped facts (solves,
+  fallback steps, checkpoint hits, dosePl swaps, certification
+  margins) are metrics.
+
+Every record carries ``v`` (schema version), ``ts`` (unix seconds),
 ``mono`` (monotonic seconds, for in-process ordering immune to NTP
-steps), ``pid``, and ``event``; :data:`EVENT_SCHEMA` lists the
-per-event required fields.  ``python -m repro.telemetry
+steps), ``pid``, and ``event`` (the kind); :data:`EVENT_SCHEMA` lists
+the per-kind required fields.  ``python -m repro.telemetry
 <manifest.jsonl>`` validates a manifest against the schema (the CI
-smoke lane).
+smoke lanes); ``python -m repro.obs report`` analyzes it.
 
 Durations (``seconds`` fields) are always monotonic-clock deltas
 (``time.perf_counter``), never wall-clock differences, so an NTP step
 mid-run cannot produce negative timings.
-
-The hierarchical tracing layer (``span`` events) and the metrics
-registry (``metrics`` events) live in :mod:`repro.obs` and write
-through this sink; ``python -m repro.obs report`` analyzes the
-resulting manifest.
 """
 
 from __future__ import annotations
@@ -46,36 +50,17 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 ENV_FLAG = "REPRO_TELEMETRY"
 ENV_PATH = "REPRO_TELEMETRY_PATH"
 DEFAULT_PATH = "repro_telemetry.jsonl"
 
-#: Required payload fields per event type (beyond the base fields
+#: Required payload fields per record kind (beyond the base fields
 #: ``v``/``ts``/``mono``/``pid``/``event``, required on every record).
 EVENT_SCHEMA = {
-    "run_begin": {"run"},
-    "run_end": {"run", "seconds"},
-    "stage": {"stage", "seconds"},
-    "solve": {"backend", "status", "iterations", "r_prim", "r_dual",
-              "seconds"},
-    "fallback": {"step", "backend", "status"},
-    "qcp": {"status", "lam", "inner_solves"},
-    "dmopt": {"mode", "status", "grid_size"},
-    "infeasibility": {"blocking"},
-    "dosepl_round": {"round", "swaps", "accepted", "mct"},
-    "dosepl": {"rounds_run", "swaps_accepted", "swaps_attempted"},
-    "sweep_point": {"dose_range", "status"},
-    "cell_done": {"index", "design", "status"},
-    "worker_retry": {"index", "error"},
-    "pool_restart": {"reason"},
-    "checkpoint_hit": {"key"},
-    "watchdog_kill": {"index", "seconds"},
-    "certify": {"ok", "mode"},
-    # hierarchical tracing spans (repro.obs.spans)
+    # timed regions (repro.obs.spans)
     "span": {"name", "trace_id", "span_id", "seconds"},
     # per-process metrics-registry flush (repro.obs.metrics)
     "metrics": {"counters", "gauges", "histograms"},
@@ -163,7 +148,8 @@ def reset():
 
 
 def emit(event: str, **fields):
-    """Append one event to the manifest; no-op when telemetry is off."""
+    """Append one record of kind ``event`` to the manifest; no-op when
+    telemetry is off.  Only :mod:`repro.obs` calls this."""
     if not _state.enabled:
         return
     record = {
@@ -175,27 +161,6 @@ def emit(event: str, **fields):
     }
     record.update(fields)
     _state.write(record)
-
-
-@contextmanager
-def stage(name: str, **fields):
-    """Time a named stage; emits one ``stage`` event on exit when on.
-
-    The duration is a ``time.perf_counter`` (monotonic) delta, so a
-    wall-clock step (NTP adjustment) during the stage cannot yield a
-    negative or inflated ``seconds`` value.  For hierarchical timing
-    (parent/child nesting, cross-process traces) use
-    :func:`repro.obs.span` instead.
-    """
-    if not _state.enabled:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        emit("stage", stage=name,
-             seconds=time.perf_counter() - t0, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for independent result certification (repro.core.certify)."""
 
-import json
-
 import pytest
 
 from repro import telemetry
@@ -179,18 +177,33 @@ class TestHarnessEnforcement:
 
 class TestTelemetry:
     def test_certify_event_emitted(self, ctx, tmp_path, monkeypatch):
+        """A certification counts into ``certify.ok`` and observes one
+        ``worst / tol`` margin per checked family."""
+        from repro.obs import metrics
+
         manifest = tmp_path / "certify.jsonl"
         monkeypatch.setenv(telemetry.ENV_FLAG, "1")
         monkeypatch.setenv(telemetry.ENV_PATH, str(manifest))
         telemetry.reset()
+        metrics.reset()
         try:
             res = optimize_dose_map(ctx, 30.0, mode="qcp")
-            certify_result(ctx, res)
+            report = certify_result(ctx, res)
+            snap = metrics.snapshot()
         finally:
+            metrics.reset()
             telemetry.reset()
-        events = [
-            json.loads(line) for line in manifest.read_text().splitlines()
-        ]
-        cert = [e for e in events if e["event"] == "certify"]
-        assert len(cert) == 1
-        assert cert[0]["ok"] is True and cert[0]["mode"] == "qcp"
+        assert report.ok and report.mode == "qcp"
+        assert snap["counters"]["certify.ok"] == 1
+        assert "certify.failed" not in snap["counters"]
+        margins = {
+            name[len("certify.margin."):]: hist
+            for name, hist in snap["histograms"].items()
+            if name.startswith("certify.margin.")
+        }
+        assert set(margins) == {c.family for c in report.checks}
+        for check in report.checks:
+            hist = margins[check.family]
+            assert hist["count"] == 1
+            assert hist["max"] == pytest.approx(check.worst / check.tol)
+            assert hist["max"] <= 1.0  # within tolerance

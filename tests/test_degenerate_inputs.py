@@ -137,3 +137,35 @@ class TestDMoptDegenerates:
             report.tau_min - tau, abs=1e-9
         )
         assert "tau" in report.summary()
+
+    def test_diagnosis_recorded_on_diagnose_span(self, tmp_path,
+                                                 monkeypatch):
+        """Traced, the diagnosis rides on the ``dmopt.diagnose`` span and
+        the ``dmopt`` span reports the baseline fallback."""
+        import json
+
+        from repro import telemetry
+
+        manifest = tmp_path / "infeasible.jsonl"
+        monkeypatch.setenv(telemetry.ENV_FLAG, "1")
+        monkeypatch.setenv(telemetry.ENV_PATH, str(manifest))
+        telemetry.reset()
+        try:
+            ctx = _tiny_ctx()
+            res = optimize_dose_map(ctx, 30.0, mode="qp",
+                                    timing_bound=ctx.baseline.mct * 0.1)
+        finally:
+            telemetry.reset()
+        spans = {
+            e["name"]: e
+            for e in map(json.loads, manifest.read_text().splitlines())
+            if e["event"] == "span"
+        }
+        report = res.infeasibility
+        diag = spans["dmopt.diagnose"]
+        assert diag["blocking"] == report.blocking
+        assert diag["tau_min"] == report.tau_min
+        assert diag["tau_slack_needed"] == report.tau_slack_needed
+        assert diag["probes"] == report.probes
+        assert spans["dmopt"]["status"] == STATUS_INFEASIBLE
+        assert spans["dmopt"]["mct"] == ctx.baseline.mct

@@ -74,18 +74,30 @@ class TestReport:
         assert "== span tree (wall time) ==" in out
         assert "cli.optimize" in out
         assert "dmopt.solve" in out
-        assert "== solver iterations ==" in out
-        assert "ipm" in out and "iterations" in out
-        assert "solver.ipm.solves" in out  # merged metrics section
+        # solver numbers come only from the merged-metrics section
+        assert "== solver iterations ==" not in out
+        assert "== run totals (merged metrics) ==" in out
+        assert "solver.ipm.solves" in out
+        assert "solver.ipm.iterations.cold" in out
+        assert "solver.ipm.r_prim" in out
 
     def test_json_summary_is_machine_readable(self, traced_run, capsys):
         path, _ = traced_run
         assert obs_main(["report", str(path), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"]["span"] >= 3
-        assert "ipm" in summary["solvers"]
-        assert summary["solvers"]["ipm"]["solves"] >= 1
-        assert summary["metrics"]["counters"]["solver.ipm.solves"] >= 1
+        assert set(summary["events"]) == {"span", "metrics"}
+        assert "solvers" not in summary
+        counters = summary["metrics"]["counters"]
+        histograms = summary["metrics"]["histograms"]
+        assert counters["solver.ipm.solves"] >= 1
+        assert counters["solver.ipm.status.solved"] >= 1
+        iterations = sum(
+            histograms[f"solver.ipm.iterations.{start}"]["count"]
+            for start in ("warm", "cold")
+            if f"solver.ipm.iterations.{start}" in histograms
+        )
+        assert iterations == counters["solver.ipm.solves"]
 
     def test_orphan_spans_become_trace_roots(self, tmp_path):
         # a parent that never emitted (killed worker / truncated file)

@@ -58,10 +58,31 @@ class TestRegistry:
         # 1 -> bucket 0 (2^-1 < 1 <= 2^0), 2 -> 1, 3 -> 2, 100 -> 7
         assert hist["buckets"] == {"0": 1, "1": 1, "2": 1, "7": 1}
 
+    def test_non_finite_observations_kept_out_of_summary(self, manifest):
+        """A NaN observation (a diverged solve's residual) lands in the
+        ``nan`` bucket; min/max/sum and the mean cover finite values."""
+        for v in (float("nan"), 1, 4):
+            metrics.observe("h", v)
+        hist = metrics.snapshot()["histograms"]["h"]
+        assert hist["count"] == 3
+        assert hist["finite"] == 2
+        assert hist["sum"] == 5.0
+        assert hist["min"] == 1.0 and hist["max"] == 4.0
+        assert hist["buckets"] == {"nan": 1, "0": 1, "2": 1}
+
+    def test_only_non_finite_leaves_min_max_unset(self, manifest):
+        metrics.observe("h", float("inf"))
+        hist = metrics.snapshot()["histograms"]["h"]
+        assert hist["count"] == 1 and hist["finite"] == 0
+        assert hist["min"] is None and hist["max"] is None
+        assert hist["buckets"] == {"inf": 1}
+
     def test_bucket_edges(self):
         assert metrics.bucket_of(0) == "-inf"
         assert metrics.bucket_of(-3.0) == "-inf"
+        assert metrics.bucket_of(float("-inf")) == "-inf"
         assert metrics.bucket_of(float("inf")) == "inf"
+        assert metrics.bucket_of(float("nan")) == "nan"
         assert metrics.bucket_of(1.0) == "0"
         assert metrics.bucket_of(2.0) == "1"
         assert metrics.bucket_of(2.001) == "2"
@@ -89,6 +110,42 @@ class TestRegistry:
     def test_empty_registry_flushes_nothing(self, manifest):
         metrics.flush()
         assert not manifest.exists()
+
+
+class TestMerge:
+    def _flush(self, *values):
+        metrics.reset()
+        for v in values:
+            metrics.observe("h", v)
+        return {"event": "metrics", **metrics.snapshot()}
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_only_flush_merges_cleanly(self, manifest, nan_first):
+        """Merging a flush that holds only a NaN keeps the other
+        flush's finite summary; the report's mean uses the finite
+        count."""
+        from repro.obs.report import merge_metrics
+
+        nan_only = self._flush(float("nan"))
+        finite = self._flush(1, 4)
+        flushes = [nan_only, finite] if nan_first else [finite, nan_only]
+        hist = merge_metrics(flushes)["histograms"]["h"]
+        assert hist["count"] == 3 and hist["finite"] == 2
+        assert hist["sum"] == 5.0
+        assert hist["min"] == 1.0 and hist["max"] == 4.0
+        assert hist["buckets"] == {"nan": 1, "0": 1, "2": 1}
+
+    def test_report_mean_divides_by_finite_count(self, manifest):
+        for v in (float("nan"), 1, 4):
+            metrics.observe("h", v)
+        metrics.flush("unit")
+        telemetry.reset()
+        from repro.obs.report import format_report
+
+        (line,) = [l for l in format_report(manifest).splitlines()
+                   if l.strip().startswith("h ")]
+        assert "3 obs" in line
+        assert "mean 2.5" in line and "min 1" in line and "max 4" in line
 
 
 def _worker_inc(i):

@@ -62,11 +62,20 @@ def manifest(tmp_path, monkeypatch):
     telemetry.reset()
 
 
-def _events(path, kind=None):
+def _spans(path, name):
     if not path.exists():
         return []
     out = [json.loads(line) for line in path.read_text().splitlines()]
-    return [e for e in out if kind is None or e["event"] == kind]
+    return [e for e in out if e["event"] == "span" and e["name"] == name]
+
+
+def _checkpoint_hits(path):
+    """Checkpoint hits recorded on the harness and sweep spans."""
+    return sum(
+        span["checkpoint_hits"]
+        for name in ("harness.run_dmopt_cells", "sweep.dose_range")
+        for span in _spans(path, name)
+    )
 
 
 @pytest.fixture
@@ -161,7 +170,7 @@ class TestKillAndResume:
         ck = tmp_path / "cells.jsonl"
         reference = run_dmopt_cells(CELLS, jobs=1, checkpoint=ck)
         assert all(r["status"] == "solved" for r in reference)
-        assert len(_events(manifest, "checkpoint_hit")) == 0
+        assert _checkpoint_hits(manifest) == 0
 
         # simulate a kill after two cells: keep two complete records
         # plus a torn third line (interrupted append)
@@ -173,18 +182,18 @@ class TestKillAndResume:
         assert _rows_sans_runtime(resumed) == _rows_sans_runtime(reference)
         # exactly the two surviving cells were served from the file;
         # only the torn one re-ran
-        assert len(_events(manifest, "checkpoint_hit")) == 2
+        assert _checkpoint_hits(manifest) == 2
 
         # a second resume re-runs nothing
         resumed2 = run_dmopt_cells(CELLS, jobs=1, checkpoint=ck)
         assert _rows_sans_runtime(resumed2) == _rows_sans_runtime(reference)
-        assert len(_events(manifest, "checkpoint_hit")) == 2 + 3
+        assert _checkpoint_hits(manifest) == 2 + 3
 
     def test_resume_false_reruns_everything(self, tmp_path, manifest):
         ck = tmp_path / "cells.jsonl"
         run_dmopt_cells(CELLS[:1], jobs=1, checkpoint=ck)
         run_dmopt_cells(CELLS[:1], jobs=1, checkpoint=ck, resume=False)
-        assert len(_events(manifest, "checkpoint_hit")) == 0
+        assert _checkpoint_hits(manifest) == 0
 
     def test_sweep_checkpoint_resume(self, tmp_path, manifest):
         from repro.core import DesignContext, dmopt_dose_range_sweep
@@ -197,7 +206,7 @@ class TestKillAndResume:
                                      checkpoint=ck)
         resumed = dmopt_dose_range_sweep(ctx, 30.0, ranges, mode="qcp",
                                          checkpoint=ck)
-        assert len(_events(manifest, "checkpoint_hit")) == 2
+        assert _checkpoint_hits(manifest) == 2
         for a, b in zip(ref, resumed):
             assert b.mct == pytest.approx(a.mct, abs=0)
             assert b.leakage == pytest.approx(a.leakage, abs=0)
@@ -395,10 +404,9 @@ class TestChaosWatchdogEndToEnd:
         assert np.isnan(rows[1]["mct"])
         assert rows[0]["status"] == "solved"
         assert rows[2]["status"] == "solved"
-        kills = _events(manifest, "watchdog_kill")
-        assert len(kills) == 1 and kills[0]["index"] == 1
-        run_end = _events(manifest, "run_end")[-1]
-        assert run_end["timeouts"] == 1
+        (run,) = _spans(manifest, "harness.run_dmopt_cells")
+        assert run["timed_out"] == [1]
+        assert run["timeouts"] == 1
 
     def test_timeout_rows_not_checkpointed(
         self, tmp_path, chaos_env, manifest
@@ -413,7 +421,7 @@ class TestChaosWatchdogEndToEnd:
         chaos_env({})
         rows2 = run_dmopt_cells(CELLS[:2], jobs=1, checkpoint=ck)
         assert rows2[0]["status"] == "solved"
-        assert len(_events(manifest, "checkpoint_hit")) == 1
+        assert _checkpoint_hits(manifest) == 1
 
     def test_worker_crash_recovered(self, chaos_env):
         chaos_env({"worker_crash": {"indices": [0]}})

@@ -1,7 +1,5 @@
 """Tests for the solver fallback/retry chain (repro.solver.robust)."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -101,22 +99,35 @@ class TestFallbackChain:
         assert "exhausted" in res.info["note"]
 
     def test_fallback_events_in_manifest(self, tmp_path, monkeypatch):
+        """The chain's steps are in ``info["attempts"]``, and each step
+        past the primary one counts into the flushed fallback metrics."""
         from repro import telemetry
+        from repro.obs import metrics
+        from repro.obs.report import load_manifest, merge_metrics
 
         manifest = tmp_path / "chain.jsonl"
         monkeypatch.setenv(telemetry.ENV_FLAG, "1")
         monkeypatch.setenv(telemetry.ENV_PATH, str(manifest))
         telemetry.reset()
+        metrics.reset()
         monkeypatch.setattr(robust, "solve_qp_ipm", _diverged_stub)
         try:
             res = solve_qp_robust(*_box_qp())
             assert res.ok
+            metrics.flush("test_end")
         finally:
+            metrics.reset()
             telemetry.reset()
-        events = [json.loads(line)
-                  for line in manifest.read_text().splitlines()]
-        steps = [e["step"] for e in events if e["event"] == "fallback"]
+        steps = [a["step"] for a in res.info["attempts"]]
         assert steps == ["ipm", "ipm-regularized", "admm"]
+        counters = merge_metrics(load_manifest(manifest)[0])["counters"]
+        fallback = {k: v for k, v in counters.items()
+                    if k.startswith("solver.fallback.")}
+        assert fallback == {
+            "solver.fallback.attempts": 2,
+            "solver.fallback.step.ipm-regularized": 1,
+            "solver.fallback.step.admm": 1,
+        }
 
 
 class TestDMoptUnderFallback:
