@@ -18,7 +18,8 @@ so the perf trajectory is tracked across PRs (companion to
     A dose-range sweep: independent cold solves vs the warm-chained
     serial sweep vs the multi-process harness (``run_dmopt_cells`` with
     all cores).  ``cpu_count`` is recorded because process-level
-    speedup is hardware-gated.
+    speedup is hardware-gated, and the ``numpy``/``scipy`` versions
+    because the solver's sparse factorization comes from scipy.
 
 Usage::
 
@@ -37,6 +38,9 @@ import os
 import statistics
 import time
 from pathlib import Path
+
+import numpy
+import scipy
 
 from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
 from repro.core import DesignContext, dmopt_dose_range_sweep, optimize_dose_map
@@ -117,6 +121,8 @@ def bench_sweep(design: str, scale: float, grid: float, ranges: list,
         "mode": mode,
         "dose_ranges": list(ranges),
         "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
     }
 
     t0 = time.perf_counter()

@@ -155,6 +155,8 @@ def dmopt_dose_range_sweep(
         sweep_point_key,
     )
 
+    # materialize once: a generator would be spent by len() below
+    dose_ranges = list(dose_ranges)
     store = (
         CheckpointStore(checkpoint, resume=resume)
         if checkpoint is not None
@@ -164,7 +166,7 @@ def dmopt_dose_range_sweep(
     prev = None
     hits = 0
     with obs.span("sweep.dose_range", mode=mode, grid=float(grid_size),
-                  n_points=len(list(dose_ranges))) as sweep_span:
+                  n_points=len(dose_ranges)) as sweep_span:
         for dose_range in dose_ranges:
             key = None
             if store is not None:

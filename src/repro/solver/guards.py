@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.solver.result import (
     STATUS_ILL_CONDITIONED,
@@ -53,12 +52,16 @@ def solve_unconstrained(P, q, t_start: float,
 
     An all-infinite bound set leaves a plain regularized least-squares
     problem; solving it directly keeps "no finite constraints" a valid
-    input instead of a :class:`ValueError`.
+    input instead of a :class:`ValueError`.  ``P + reg*I`` is symmetric
+    positive definite, so it is factored like the IPM's normal matrix.
     """
+    # deferred: repro.solver.ipm imports this module
+    from repro.solver.ipm import factor_spd
+
     n = q.size
     N = (sp.csc_matrix(P) + reg * sp.eye(n)).tocsc()
     try:
-        x = spla.splu(N).solve(-np.asarray(q, dtype=float))
+        x = factor_spd(N).solve(-np.asarray(q, dtype=float))
     except RuntimeError:
         return diagnostic_result(
             STATUS_ILL_CONDITIONED,

@@ -9,9 +9,11 @@ lam >= 0, solve the resulting QP
     min  c'x + lam * ((1/2) x'Q x + g'x - s)   s.t.  l <= A x <= u,
 
 and drive the constraint value h(lam) = (1/2)x'Qx + g'x - s to zero.
-h(lam) is non-increasing in lam; after geometric bracketing we use the
-Illinois variant of regula falsi (with bisection safeguards), which
-typically needs only a handful of inner QP solves.
+h(lam) is non-increasing in lam.  The search brackets the root
+geometrically (lam grows tenfold from a small start, or from a
+neighbor's multiplier) and then bisects the bracket -- in log space
+once its lower end is positive -- until it is ``lam_tol`` tight or
+h(lam) is within the feasibility tolerance.
 
 Two inner backends are available: the ADMM solver (warm-startable) and
 the interior-point solver (faster on the ill-conditioned dose-map

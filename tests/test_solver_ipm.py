@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from repro.solver import STATUS_INFEASIBLE, solve_qp, solve_qp_ipm
-from repro.solver.ipm import _to_inequalities
+from repro.solver import (
+    STATUS_ILL_CONDITIONED,
+    STATUS_INFEASIBLE,
+    solve_qp,
+    solve_qp_ipm,
+    solve_qp_robust,
+)
+from repro.solver.ipm import IPMWorkspace, _to_inequalities, factor_spd_ordered
 
 
 class TestInequalityConversion:
@@ -133,3 +140,82 @@ class TestIPMAgainstReferences:
         admm = solve_qp(P, q, A, l, u, eps_abs=1e-7, eps_rel=1e-7)
         assert ipm.ok and admm.ok
         assert np.allclose(ipm.x, admm.x, atol=1e-3)
+
+
+def _sparse_qp(n=60, m=90, seed=5):
+    """A sparse convex QP with two-sided, one-sided and free rows."""
+    rng = np.random.default_rng(seed)
+    B = sp.random(n, n, density=0.05, random_state=rng, format="csc")
+    P = (B @ B.T).tocsc()
+    P = 0.5 * (P + P.T)
+    P.sum_duplicates()
+    P.sort_indices()
+    A = sp.random(m, n, density=0.06, random_state=rng, format="csc")
+    A = (A + sp.eye(m, n)).tocsc()  # no empty row
+    l = -rng.uniform(0.5, 2.0, m)
+    u = rng.uniform(0.5, 2.0, m)
+    l[::4] = -np.inf
+    u[1::5] = np.inf
+    return P, A, l, u, rng
+
+
+@pytest.fixture(params=["scatter", "dense_rows"])
+def workspace_path(request, monkeypatch):
+    """Run on the scatter-operator path and on the ``E is None`` path."""
+    if request.param == "dense_rows":
+        monkeypatch.setattr(IPMWorkspace, "MAX_EXPANSION_RATIO", 0.0)
+    return request.param
+
+
+class TestSymmetricFactorization:
+    def _setup(self, workspace_path):
+        P, A, l, u, rng = _sparse_qp()
+        ws = IPMWorkspace(P, A, l, u)
+        assert (ws.E is None) == (workspace_path == "dense_rows")
+        w = rng.uniform(0.1, 10.0, ws.m)
+        reg = 1e-3
+        G, _ = _to_inequalities(A, l, u)
+        N = (P + reg * sp.eye(P.shape[0]) + G.T @ sp.diags(w) @ G).tocsc()
+        return ws, P, w, reg, N, rng
+
+    def test_order_is_permutation(self, workspace_path):
+        ws, P, *_ = self._setup(workspace_path)
+        assert np.array_equal(np.sort(ws.order), np.arange(P.shape[0]))
+
+    def test_normal_is_permuted_normal_matrix(self, workspace_path):
+        ws, P, w, reg, N, _ = self._setup(workspace_path)
+        got = ws.normal(P, w, reg)
+        want = N[ws.order][:, ws.order]
+        assert np.allclose(got.toarray(), want.toarray(),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_ordered_solve_matches_spsolve(self, workspace_path):
+        ws, P, w, reg, N, rng = self._setup(workspace_path)
+        rhs = rng.normal(size=P.shape[0])
+        x = ws.solve(factor_spd_ordered(ws.normal(P, w, reg)), rhs)
+        ref = spla.spsolve(N, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @staticmethod
+    def _untouched_variable_qp():
+        """x2 appears in neither P nor A: with reg = 0 the normal matrix
+        has an all-zero column, a genuinely singular system."""
+        P = sp.csc_matrix(np.diag([1.0, 1.0, 0.0]))
+        q = np.array([-5.0, -0.3, 0.0])
+        A = sp.csc_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        return P, q, A, np.zeros(2), np.ones(2)
+
+    def test_singular_normal_matrix_is_diagnosed(self, workspace_path):
+        P, q, A, l, u = self._untouched_variable_qp()
+        res = solve_qp_ipm(P, q, A, l, u, reg=0.0)
+        assert res.status == STATUS_ILL_CONDITIONED
+        assert res.info["failed_at_iter"] == 1
+
+    def test_robust_chain_recovers_singular_normal(self, workspace_path):
+        P, q, A, l, u = self._untouched_variable_qp()
+        res = solve_qp_robust(P, q, A, l, u, qp_kwargs={"reg": 0.0})
+        assert res.ok
+        steps = [(a["step"], a["status"]) for a in res.info["attempts"]]
+        assert steps[0] == ("ipm", STATUS_ILL_CONDITIONED)
+        assert steps[1][0] == "ipm-regularized"
+        assert np.allclose(res.x, [1.0, 0.3, 0.0], atol=1e-5)

@@ -158,3 +158,16 @@ class TestSweepChaining:
             aes_ctx, 30.0, [4.0, 5.0], mode="qp", warm_start=False
         )
         assert not any(r.solve.warm_started for r in res)
+
+    def test_sweep_accepts_generator(self, aes_ctx):
+        """A generator of ranges sweeps every point, like the equal list."""
+        ranges = [4.0, 5.0]
+        listed = dmopt_dose_range_sweep(aes_ctx, 30.0, ranges, mode="qp")
+        generated = dmopt_dose_range_sweep(
+            aes_ctx, 30.0, (r for r in ranges), mode="qp"
+        )
+        assert len(generated) == len(listed) == 2
+        for got, want in zip(generated, listed):
+            assert got.mct == want.mct
+            assert got.leakage == want.leakage
+            assert got.solve.iterations == want.solve.iterations
