@@ -3,8 +3,9 @@
 These are concept illustrations in the paper; their mathematical content
 (profile families, the negative-Ds CD line) is rendered as data series so
 the figure coverage is complete.  Fig. 9 (cell bounding box) has no data
-content; its math is Placement.neighborhood_bbox, tested in
-tests/test_placement.py.
+content; its math is the neighborhood bounding box of dosePl's position
+index (repro.core.dosepl._PositionIndex), tested in
+tests/test_dosepl_internals.py.
 """
 
 import numpy as np

@@ -15,8 +15,26 @@ After each round the placement is legalized, "ECO routed" (wire parasitics
 recomputed from the new geometry) and golden STA decides accept/rollback;
 rolled-back cells are marked fixed.  Default 10 rounds, as in the paper.
 
+The candidate search runs on :class:`_PositionIndex`, the work
+placement's positions as arrays (rank = insertion order of the
+placement) plus every cell's Fig. 9 bounding box, built once per pass
+and refreshed only where positions change for good: an accepted swap
+and the end-of-round resync (an undone swap restores the same
+coordinates).  One (cell, grid) scan masks the grid's closed rectangle,
+sorts the survivors by Manhattan distance (stable, so ties keep
+placement order), cuts them at the distance threshold and applies the
+mutual-containment test in one vectorized step; only the survivors go
+through the HPWL, leakage and trial-STA filters one by one.
+
+A round that swaps nothing changes no state the next round reads (work
+placement, fixed cells, golden analysis, doses, trial timer), so every
+later round would repeat it exactly.  :func:`run_dosepl` replays such a
+fixed point arithmetically -- its attempt and trial-rejection counts
+times the rounds left -- instead of running them.
+
 With telemetry on, a pass counts into the ``dosepl.rounds``,
-``dosepl.rounds_accepted``, ``dosepl.swaps_attempted``,
+``dosepl.rounds_accepted``, ``dosepl.rounds_replayed`` (rounds settled
+by the fixed-point replay), ``dosepl.swaps_attempted``,
 ``dosepl.swaps_accepted`` (swaps of accepted rounds) and
 ``dosepl.trial_rejected`` metrics; the per-round MCT is
 :attr:`DoseplResult.history`.
@@ -27,6 +45,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.obs import metrics
 from repro.placement import incident_hpwl, legalize
@@ -104,8 +124,105 @@ def _cell_leakage(ctx, gate_name: str, dose: float) -> float:
     ).leakage_uw
 
 
+class _PositionIndex:
+    """A placement's cell positions as arrays, for the candidate scan.
+
+    Rank ``r`` is a cell's insertion position in the placement, which
+    ``place``/``swap`` never reorder.  ``x``/``y`` hold the positions
+    by rank; ``x0``/``y0``/``x1``/``y1`` hold each cell's neighborhood
+    bounding box over itself, its fanins and its fanouts (the paper's
+    Fig. 9 box: swapping within it rarely increases wirelength), over
+    placed cells only.  :meth:`move` must follow every lasting position
+    change of the placement.
+    """
+
+    def __init__(self, placement, netlist):
+        self.placement = placement
+        names, locs = zip(*placement.items())
+        self.names = list(names)
+        self.rank = {name: r for r, name in enumerate(self.names)}
+        self.x, self.y = (np.array(v, dtype=float) for v in zip(*locs))
+        # CSR of [self] + fanin + fanout ranks; self makes no row empty
+        members, starts = [], []
+        for name in self.names:
+            starts.append(len(members))
+            for g in (
+                [name] + netlist.fanin_gates(name) + netlist.fanout_gates(name)
+            ):
+                if g in self.rank:
+                    members.append(self.rank[g])
+        self._members = np.array(members, dtype=np.intp)
+        self._starts = np.array(starts, dtype=np.intp)
+        self._refresh_boxes()
+
+    def _refresh_boxes(self):
+        xs, ys = self.x[self._members], self.y[self._members]
+        self.x0 = np.minimum.reduceat(xs, self._starts)
+        self.y0 = np.minimum.reduceat(ys, self._starts)
+        self.x1 = np.maximum.reduceat(xs, self._starts)
+        self.y1 = np.maximum.reduceat(ys, self._starts)
+
+    def move(self, names):
+        """Re-read the positions of ``names`` and refresh every box."""
+        for name in names:
+            r = self.rank[name]
+            self.x[r], self.y[r] = self.placement.location(name)
+        self._refresh_boxes()
+
+    def bbox(self, name) -> tuple:
+        """(x_min, y_min, x_max, y_max) of the cell's neighborhood."""
+        r = self.rank[name]
+        return (
+            float(self.x0[r]), float(self.y0[r]),
+            float(self.x1[r]), float(self.y1[r]),
+        )
+
+    def mask(self, names) -> np.ndarray:
+        """Boolean array over ranks, true for ``names``."""
+        out = np.zeros(len(self.names), dtype=bool)
+        out[[self.rank[n] for n in names]] = True
+        return out
+
+    def scan(self, cell, region, excluded, max_dist):
+        """Swap partners of ``cell`` in the closed ``region``, nearest first.
+
+        Candidates are the cells inside ``region`` other than ``cell``
+        and the ``excluded`` ranks, in stable distance order (ties keep
+        placement order).  Returns ``(hits, n_scanned)``: ``hits`` lists
+        ``(k, name)`` for the candidates within ``max_dist`` that lie in
+        ``cell``'s box while ``cell`` lies in theirs, ``k`` being the
+        position in the distance order; ``n_scanned`` is how many
+        candidates a one-by-one walk that stops at the first one beyond
+        ``max_dist`` would visit.
+        """
+        x, y = self.x, self.y
+        rx0, ry0, rx1, ry1 = region
+        inside = (rx0 <= x) & (x <= rx1) & (ry0 <= y) & (y <= ry1)
+        inside &= ~excluded
+        r = self.rank[cell]
+        inside[r] = False
+        idx = np.flatnonzero(inside)
+        xc, yc = x[r], y[r]
+        dist = np.abs(xc - x[idx]) + np.abs(yc - y[idx])
+        order = np.argsort(dist, kind="stable")
+        n_near = int(np.searchsorted(dist[order], max_dist, side="right"))
+        near = idx[order[:n_near]]
+        xn, yn = x[near], y[near]
+        bx0, by0, bx1, by1 = self.x0[r], self.y0[r], self.x1[r], self.y1[r]
+        contained = (
+            (bx0 <= xn) & (xn <= bx1) & (by0 <= yn) & (yn <= by1)
+            & (self.x0[near] <= xc) & (xc <= self.x1[near])
+            & (self.y0[near] <= yc) & (yc <= self.y1[near])
+        )
+        hits = [
+            (int(k), self.names[near[k]]) for k in np.flatnonzero(contained)
+        ]
+        return hits, n_near + (n_near < len(idx))
+
+
 def _try_round(
     ctx, dose_map, trial, result, cfg, fixed, stats, timer, doses, trial_best,
+    index,
 ):
     """One round of cell swapping, applied to ``trial`` in place.
 
@@ -115,7 +232,8 @@ def _try_round(
     after each candidate swap only the dirty fanout cone is re-timed,
     and the move is kept only if the trial MCT strictly improves --
     O(cone) per candidate instead of a full golden pass per round spent
-    on a doomed swap.
+    on a doomed swap.  ``index`` is the :class:`_PositionIndex` of
+    ``trial``; accepted swaps are written through to it.
 
     Returns ``(swaps_done, trial_best)``; rejected candidates are undone
     in place, so ``trial`` holds exactly the accepted swaps.
@@ -127,6 +245,7 @@ def _try_round(
         return 0, trial_best
     weights = _path_weights(paths, result.mct)
     critical_cells = set(weights)
+    excluded = index.mask(critical_cells | fixed)
     pitch = trial.gate_pitch()
     max_dist = cfg.distance_factor * pitch
 
@@ -145,7 +264,7 @@ def _try_round(
             if cell in fixed or swaps_done >= cfg.swaps_per_round:
                 continue
             dose_cell = dose_map.dose_of_gate(trial, cell)
-            box = trial.neighborhood_bbox(cell, nl)
+            box = index.bbox(cell)
             # grids intersecting the bbox, sorted by dose descending
             i0, j0 = partition.grid_of(box[0], box[1])
             i1, j1 = partition.grid_of(box[2], box[3])
@@ -161,24 +280,15 @@ def _try_round(
                     break  # no higher-dose grid available in the bbox
                 x0 = gj * partition.cell_width
                 y0 = gi * partition.cell_height
-                candidates = [
-                    c
-                    for c in trial.cells_in_region(
-                        x0, y0, x0 + partition.cell_width,
-                        y0 + partition.cell_height,
-                    )
-                    if c not in critical_cells and c not in fixed and c != cell
-                ]
-                candidates.sort(key=lambda c: trial.distance(cell, c))
-                for cand in candidates:
-                    stats["attempted"] += 1
-                    if trial.distance(cell, cand) > max_dist:
-                        break  # sorted by distance: the rest are farther
-                    box_cand = trial.neighborhood_bbox(cand, nl)
-                    if not (
-                        trial.in_box(cand, box) and trial.in_box(cell, box_cand)
-                    ):
-                        continue
+                region = (
+                    x0, y0, x0 + partition.cell_width,
+                    y0 + partition.cell_height,
+                )
+                hits, n_scanned = index.scan(cell, region, excluded, max_dist)
+                # every candidate is undone before the next, so the scan
+                # stays valid until the walk stops at position ``stop``
+                stop = None
+                for k, cand in hits:
                     # HPWL filter on both cells' incident nets
                     h_cell = incident_hpwl(nl, trial, cell)
                     h_cand = incident_hpwl(nl, trial, cand)
@@ -207,6 +317,7 @@ def _try_round(
                     ):
                         trial.swap(cell, cand)  # undo
                         continue
+                    stop = k
                     # incremental trial-STA filter
                     if trials_left > 0:
                         trials_left -= 1
@@ -230,11 +341,13 @@ def _try_round(
                             break
                         trial_best = m
                         doses[cell], doses[cand] = upd[cell], upd[cand]
+                    index.move((cell, cand))
                     swaps_done += 1
                     n_swapped_on_path[p_idx] = n_swapped_on_path.get(p_idx, 0) + 1
                     stats["swapped_cells"].update((cell, cand))
                     swapped = True
                     break
+                stats["attempted"] += n_scanned if stop is None else stop + 1
                 if swapped:
                     break
             if swapped:
@@ -243,8 +356,8 @@ def _try_round(
     return swaps_done, trial_best
 
 
-def _resync_work(ctx, dose_map, work, target, timer, doses):
-    """Make ``work`` (and the hoisted trial timer) match ``target``.
+def _resync_work(ctx, dose_map, work, target, timer, doses, index):
+    """Make ``work`` (its index and the hoisted trial timer) match ``target``.
 
     Used after every round: on accept, ``target`` is the legalized
     placement (cells shifted by legalization); on rollback it is the
@@ -264,6 +377,7 @@ def _resync_work(ctx, dose_map, work, target, timer, doses):
         work.place(name, x, y)
     if not moved:
         return timer.trial_mct({})
+    index.move(moved)
     timer.update_placement(moved)
     upd = {}
     for name in moved:
@@ -308,19 +422,32 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     # state survive across rounds and are resynced by position diff on
     # accept/rollback instead of being rebuilt from scratch.
     work = place.copy()
+    index = _PositionIndex(work, ctx.netlist)
     timer = ctx.analyzer_for(work)
     doses = ctx.gate_doses(dose_map, placement=work)
     work_mct = timer.mct(doses)
 
     for rnd in range(1, cfg.rounds + 1):
+        attempted, trial_rejected = stats["attempted"], stats["trial_rejected"]
         swaps_done, work_mct = _try_round(
             ctx, dose_map, work, golden, cfg, fixed, stats,
-            timer, doses, work_mct,
+            timer, doses, work_mct, index,
         )
         metrics.inc("dosepl.rounds")
         if swaps_done == 0:
-            history.append((rnd, best_mct, best_leak))
-            continue
+            # Fixed point: this round changed nothing, so each round left
+            # would repeat it exactly; count them instead of running them.
+            rest = cfg.rounds - rnd
+            stats["attempted"] += rest * (stats["attempted"] - attempted)
+            stats["trial_rejected"] += rest * (
+                stats["trial_rejected"] - trial_rejected
+            )
+            history.extend(
+                (r, best_mct, best_leak) for r in range(rnd, cfg.rounds + 1)
+            )
+            metrics.inc("dosepl.rounds", rest)
+            metrics.inc("dosepl.rounds_replayed", rest)
+            break
         # legalize + "ECO route": parasitics recomputed from new geometry
         trial = legalize(work, ctx.netlist, ctx.library)
         trial_res, trial_leak = ctx.golden_eval(
@@ -337,7 +464,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             fixed.update(stats["swapped_cells"])
         stats["swapped_cells"] = set()
         work_mct = _resync_work(
-            ctx, dose_map, work, place, timer, doses
+            ctx, dose_map, work, place, timer, doses, index
         )
         history.append((rnd, best_mct, best_leak))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class GridPartition:
         Maximum grid edge length in um (the paper's ``G``).
     m, n:
         Number of grid rows / columns (derived).
+
+    The derived geometry (``m``, ``n``, ``cell_width``, ``cell_height``)
+    is computed once per instance: ``cached_property`` stores it in the
+    instance ``__dict__``, which the frozen dataclass leaves writable.
     """
 
     width: float
@@ -45,14 +50,14 @@ class GridPartition:
             if count is not None and count < 1:
                 raise ValueError("explicit grid counts must be >= 1")
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Number of grid rows (y direction)."""
         if self.m_explicit is not None:
             return self.m_explicit
         return max(1, math.ceil(self.height / self.g))
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Number of grid columns (x direction)."""
         if self.n_explicit is not None:
@@ -63,11 +68,11 @@ class GridPartition:
     def n_grids(self) -> int:
         return self.m * self.n
 
-    @property
+    @cached_property
     def cell_width(self) -> float:
         return self.width / self.n
 
-    @property
+    @cached_property
     def cell_height(self) -> float:
         return self.height / self.m
 

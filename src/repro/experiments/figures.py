@@ -45,8 +45,8 @@ def fig1_dose_profiles() -> TableResult:
         headers=["position", "slit dose %", "scan dose %"],
         rows=rows,
         notes=["Fig. 9 (cell bounding box) is a layout illustration with "
-               "no data content; its math lives in "
-               "Placement.neighborhood_bbox"],
+               "no data content; its math lives in dosePl's position "
+               "index (repro.core.dosepl._PositionIndex)"],
     )
 
 

@@ -8,7 +8,6 @@ from repro.io.liberty import (
     roundtrip_close,
     write_liberty,
 )
-from repro.io.spef import SpefError, parse_spef, write_spef
 from repro.io.verilog import (
     VerilogError,
     parse_verilog,
@@ -28,7 +27,4 @@ __all__ = [
     "parse_liberty",
     "roundtrip_close",
     "LibertyError",
-    "write_spef",
-    "parse_spef",
-    "SpefError",
 ]

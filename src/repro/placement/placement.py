@@ -1,10 +1,11 @@
 """Row-based placement data model.
 
 A :class:`Placement` maps each gate to an (x, y) location on a die made of
-standard-cell rows.  It supports the spatial queries the dose-map flow and
-the dosePl cell-swapping heuristic need: per-region cell lists, cell
-bounding boxes over fanin/fanout neighborhoods (paper Fig. 9), Manhattan
-distances, and position swaps.
+standard-cell rows.  It supports the queries the dose-map flow needs:
+locations, Manhattan distances, position swaps and the gate pitch.  The
+dosePl candidate search keeps its own array view of a placement
+(``repro.core.dosepl._PositionIndex``), which also holds the cell
+bounding boxes over fanin/fanout neighborhoods (paper Fig. 9).
 """
 
 from __future__ import annotations
@@ -102,38 +103,6 @@ class Placement:
         """Manhattan distance between two cells (um)."""
         (x1, y1), (x2, y2) = self.location(g1), self.location(g2)
         return abs(x1 - x2) + abs(y1 - y2)
-
-    def neighborhood_bbox(self, gate_name: str, netlist) -> tuple:
-        """Bounding box over the cell, its fanins and its fanouts.
-
-        This is the paper's cell bounding box (Fig. 9): swapping a cell
-        within it has low likelihood of increasing wirelength.
-        Returns (x_min, y_min, x_max, y_max).
-        """
-        names = [gate_name]
-        names += netlist.fanin_gates(gate_name)
-        names += netlist.fanout_gates(gate_name)
-        xs, ys = [], []
-        for n in names:
-            if n in self._pos:
-                x, y = self._pos[n]
-                xs.append(x)
-                ys.append(y)
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def in_box(self, gate_name: str, box: tuple, margin: float = 0.0) -> bool:
-        """Whether a cell lies inside a (x0, y0, x1, y1) box (with margin)."""
-        x, y = self.location(gate_name)
-        x0, y0, x1, y1 = box
-        return (x0 - margin <= x <= x1 + margin) and (y0 - margin <= y <= y1 + margin)
-
-    def cells_in_region(self, x0: float, y0: float, x1: float, y1: float):
-        """All placed cells with location inside the closed rectangle."""
-        return [
-            name
-            for name, (x, y) in self._pos.items()
-            if x0 <= x <= x1 and y0 <= y <= y1
-        ]
 
     def gate_pitch(self) -> float:
         """Average cell pitch: chip dimension / sqrt(gate count).

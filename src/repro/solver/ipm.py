@@ -292,7 +292,6 @@ def solve_qp_ipm(
     u,
     max_iter: int = 60,
     tol: float = 1e-7,
-    x0=None,
     warm: dict = None,
     workspace: dict = None,
     reg: float = 1e-9,
@@ -300,8 +299,7 @@ def solve_qp_ipm(
 ) -> SolveResult:
     """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``.
 
-    Parameters mirror :func:`repro.solver.qp.solve_qp`.  ``x0`` is
-    accepted for API compatibility (equivalent to ``warm={"x": x0}``).
+    Parameters mirror :func:`repro.solver.qp.solve_qp`.
 
     Parameters
     ----------
@@ -371,8 +369,6 @@ def solve_qp_ipm(
     # (iter, mu, r_prim, r_dual))
     trace = deque(maxlen=obs.TRACE_MAXLEN)
 
-    if warm is None and x0 is not None:
-        warm = {"x": x0}
     warm_started = False
     x = np.zeros(n)
     s = np.maximum(h - G @ x, 1.0)

@@ -176,58 +176,3 @@ class TestLiberty:
         mid_load = float(table.load_axis.mean())
         direct = lib65.nominal("INVX2").delay_at(mid_slew, mid_load)
         assert table.lookup(mid_slew, mid_load) == pytest.approx(direct, rel=1e-4)
-
-
-class TestSpef:
-    def test_roundtrip(self, small_design):
-        from repro.io import parse_spef, write_spef
-        from repro.sta import net_wire_cap
-
-        pl = place_design(small_design)
-        text = write_spef(
-            small_design.netlist, pl, small_design.library.node
-        )
-        parsed = parse_spef(text)
-        assert parsed["design"] == small_design.netlist.name
-        assert set(parsed["net_caps"]) == set(small_design.netlist.nets)
-        # spot-check one cap value against direct extraction
-        net = next(iter(small_design.netlist.nets))
-        direct = net_wire_cap(
-            small_design.netlist, pl, net, small_design.library.node
-        )
-        assert parsed["net_caps"][net] == pytest.approx(direct, rel=1e-4)
-
-    def test_arcs_match_connectivity(self, small_design):
-        from repro.io import parse_spef, write_spef
-
-        pl = place_design(small_design)
-        parsed = parse_spef(
-            write_spef(small_design.netlist, pl, small_design.library.node)
-        )
-        for (drv, snk), delay in list(parsed["arc_delays"].items())[:50]:
-            assert snk in small_design.netlist.fanout_gates(drv)
-            assert delay >= 0.0
-
-    def test_net_lengths_override(self, small_design):
-        from repro.io import parse_spef, write_spef
-
-        pl = place_design(small_design)
-        node = small_design.library.node
-        net = next(
-            n for n, obj in small_design.netlist.nets.items() if obj.sinks
-        )
-        doubled = {net: 1000.0}
-        parsed = parse_spef(
-            write_spef(small_design.netlist, pl, node, net_lengths=doubled)
-        )
-        assert parsed["net_caps"][net] == pytest.approx(
-            node.wire_c_per_um * 1000.0, rel=1e-4
-        )
-
-    def test_malformed(self):
-        from repro.io import SpefError, parse_spef
-
-        with pytest.raises(SpefError, match="DESIGN"):
-            parse_spef("*SPEF\n")
-        with pytest.raises(SpefError, match="D_NET"):
-            parse_spef("*DESIGN x\n")

@@ -103,23 +103,6 @@ class TestPlacement:
         q.place("a", 2.0, 0.0)
         assert p.location("a") == (1.0, 0.0)
 
-    def test_cells_in_region(self):
-        p = Placement(_die())
-        p.place("a", 1.0, 0.0)
-        p.place("b", 10.0, 3.6)
-        assert p.cells_in_region(0, 0, 5, 2) == ["a"]
-        assert set(p.cells_in_region(0, 0, 20, 9)) == {"a", "b"}
-
-    def test_neighborhood_bbox(self):
-        nl = _chain_netlist(3)
-        p = Placement(_die())
-        p.place("u0", 1.0, 0.0)
-        p.place("u1", 5.0, 1.8)
-        p.place("u2", 3.0, 3.6)
-        box = p.neighborhood_bbox("u1", nl)
-        assert box == (1.0, 0.0, 5.0, 3.6)
-        assert p.in_box("u2", box)
-
     def test_gate_pitch(self, placed_aes):
         d, pl = placed_aes
         pitch = pl.gate_pitch()

@@ -43,10 +43,10 @@ class TestIPMWarmStart:
         assert warm.iterations < cold.iterations
         assert np.allclose(warm.x, cold.x, atol=ATOL)
 
-    def test_x0_compat_argument(self):
+    def test_primal_only_warm_start(self):
         P, q, A, l, u = box_qp()
         cold = solve_qp_ipm(P, q, A, l, u)
-        warm = solve_qp_ipm(P, q, A, l, u, x0=cold.x)
+        warm = solve_qp_ipm(P, q, A, l, u, warm={"x": cold.x})
         assert warm.ok and warm.warm_started
         assert np.allclose(warm.x, cold.x, atol=ATOL)
 
