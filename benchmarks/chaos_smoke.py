@@ -9,7 +9,8 @@ Exercises the recovery paths end-to-end with deterministic
 2. a checkpoint append torn mid-write is not committed, the torn tail
    is repaired, and the work re-runs on resume;
 3. a faked NaN (diverged) primary solver attempt is recovered by the
-   fallback chain.
+   fallback chain, for a QP and for a QCP (whose one-shot IPM retries
+   regularized before its bisection fallback).
 
 Exits non-zero on any broken contract.
 
@@ -40,7 +41,7 @@ def main() -> int:
     )
     from repro.resilience import chaos
     from repro.resilience.checkpoint import CheckpointStore
-    from repro.solver import solve_qp_robust
+    from repro.solver import solve_qcp, solve_qp_robust
 
     import numpy as np
 
@@ -57,7 +58,7 @@ def main() -> int:
     _set_chaos({"worker_crash": {"indices": [0]}})
     rows = run_dmopt_cells(cells[:2], jobs=2)
     assert [r["status"] for r in rows] == ["solved", "solved"], rows
-    print("chaos 1/4: worker crash retried, run completed")
+    print("chaos 1/5: worker crash retried, run completed")
 
     # 1b. hung solve under the watchdog: killed at the deadline,
     # reported as a diagnostic timeout row, rest completes
@@ -67,7 +68,7 @@ def main() -> int:
     assert rows[1]["status"] == "solved", rows[1]
     assert rows[2]["status"] == STATUS_TIMEOUT, rows[2]
     assert math.isnan(rows[2]["mct"])
-    print("chaos 2/4: hang killed at deadline, run completed")
+    print("chaos 2/5: hang killed at deadline, run completed")
 
     # 2. torn checkpoint append: not committed, repaired, re-run works
     _set_chaos({"corrupt_checkpoint": {"nth": 1}})
@@ -81,7 +82,7 @@ def main() -> int:
         reloaded = CheckpointStore(path)
         assert reloaded.get("k1") == {"a": 1}
         assert reloaded.corrupt_lines == 0
-    print("chaos 3/4: torn checkpoint append repaired and re-committed")
+    print("chaos 3/5: torn checkpoint append repaired and re-committed")
 
     # 3. faked diverged primary attempt: fallback chain recovers
     _set_chaos({"solver_nan": {"nth": 1}})
@@ -91,7 +92,17 @@ def main() -> int:
     )
     assert res.ok, res
     assert len(res.info.get("attempts", [])) > 1, res.info
-    print("chaos 4/4: injected solver NaN recovered by the fallback chain")
+    print("chaos 4/5: injected solver NaN recovered by the fallback chain")
+
+    # 4. the same fault in a QCP's one-shot IPM: the QCP chain recovers
+    _set_chaos({"solver_nan": {"nth": 1}})
+    res = solve_qcp(
+        -np.ones(n), np.eye(n), -np.ones(n), np.ones(n), np.eye(n),
+        np.zeros(n), 1.0,
+    )
+    assert res.ok, res
+    assert len(res.info.get("attempts", [])) > 1, res.info
+    print("chaos 5/5: injected solver NaN in a QCP recovered by its chain")
 
     del os.environ[chaos.ENV_FLAG]
     chaos.reset()

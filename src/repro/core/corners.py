@@ -124,7 +124,6 @@ def optimize_dose_map_corners(
         form_leak.P_leak,
         form_leak.q_leak,
         s=budget,
-        method="ipm",
         **qcp_kwargs,
     )
     poly, _active, _t = form.split(solve.x)

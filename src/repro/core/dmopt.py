@@ -8,6 +8,9 @@ Two driver modes, matching Section III:
 * ``mode="qcp"`` -- *minimize clock period subject to a leakage budget*
   (Section III-A-2 / III-B-2): linear objective plus the quadratic
   delta-leakage constraint, solved by :func:`repro.solver.qcp.solve_qcp`.
+  When the budget is slack at the minimum T, the QCP's optimum is a face
+  of dose maps; the least-leakage one is taken (a QP-mode re-solve at the
+  clock bound T*) and the multiplier reported as 0.
 
 Both return golden-signoff numbers: the continuous dose solution is
 snapped to the characterized 0.5 %-step variant grid and re-evaluated
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +49,7 @@ def _warm_state(solve: SolveResult) -> dict:
     if solve is None:
         return None
     state = {"x": solve.x}
-    for key in ("z", "y"):
+    for key in ("z", "y", "lam"):
         val = solve.info.get(key)
         if val is not None:
             state[key] = val
@@ -199,8 +202,9 @@ def optimize_dose_map(
         of the true exponential (paper footnote 4) plus snap error, so
         golden leakage lands at or under the requested budget.
     method:
-        Inner solver backend: ``"ipm"`` (default; fast interior point)
-        or ``"admm"`` (the OSQP-style first-order method).
+        Primary QP backend: ``"ipm"`` (default; fast interior point) or
+        ``"admm"`` (the OSQP-style first-order method, QP mode only: the
+        QCP is one IPM run, so ``"admm"`` raises ``ValueError`` there).
     snap_mode:
         How continuous doses are rounded to characterized variants.
         Defaults per mode: ``"ceil"`` for QP (snapping can only speed
@@ -209,16 +213,17 @@ def optimize_dose_map(
     warm_start:
         Optional :class:`~repro.solver.SolveResult` of a structurally
         identical solve (an adjacent sweep point): its primal/dual state
-        seeds the inner solver and, for QCP, its multiplier seeds the
-        bisection bracket.
+        (for QCP, with its budget multiplier ``lam``) seeds the solver.
     time_limit:
         Optional wall-clock budget in seconds for *all* solver work in
-        this call (fallback chain, QCP root search, guard retry).  On
+        this call (fallback chain, QCP re-solve, guard retry).  On
         expiry the best iterate so far is signed off (or the failure
         path taken); the call never spins indefinitely.
     """
     if mode not in (MODE_QP, MODE_QCP):
         raise ValueError(f"mode must be 'qp' or 'qcp', got {mode!r}")
+    if mode == MODE_QCP and method != METHOD_IPM:
+        raise ValueError(f"the QCP is solved by the IPM, got {method!r}")
     if snap_mode is None:
         snap_mode = SNAP_CEIL if mode == MODE_QP else SNAP_NEAREST
     t_start = time.perf_counter()
@@ -254,6 +259,47 @@ def optimize_dose_map(
             return None
         return max(solve_deadline - time.perf_counter(), 1e-3)
 
+    def _least_leakage_at_best_T(qcp):
+        """The least-leakage point among the minimum-T dose maps.
+
+        With the budget slack at the minimum T, the QCP's optimal face
+        holds many dose maps and the IPM returns its barrier centre; the
+        paper's QCP wants the least leakage for the best timing, so the
+        QP mode re-solves with the clock bound at T* (a relative 1e-7
+        above it) and the multiplier is reported as 0.
+        """
+        u = form.u.copy()
+        u[form.row_clock] = qcp.x[form.idx_T] * (1.0 + 1e-7)
+        qp = solve_qp_robust(
+            form.P_leak,
+            form.q_leak,
+            form.A,
+            form.l,
+            u,
+            qp_kwargs=qp_kwargs,
+            warm={"x": qcp.x},
+            workspace=form.shared.setdefault(("ipm_ws", MODE_QP), {}),
+            time_limit=_budget_left(),
+        )
+        if not qp.ok:
+            return qcp
+        info = dict(qp.info)
+        info.update(
+            lam=0.0,
+            budget_slack=True,
+            quad=form.predicted_delta_leakage(qp.x),
+            inner_solves=qcp.info["inner_solves"] + 1,
+            attempts=qcp.info["attempts"] + qp.info["attempts"],
+        )
+        return replace(
+            qp,
+            obj=float(qp.x[form.idx_T]),
+            iterations=qcp.iterations + qp.iterations,
+            solve_time=qcp.solve_time + qp.solve_time,
+            info=info,
+            warm_started=qcp.warm_started,
+        )
+
     def _solve_and_sign_off(tau, warm):
         with obs.span("dmopt.solve", mode=mode):
             if mode == MODE_QP:
@@ -285,13 +331,13 @@ def optimize_dose_map(
                     form.P_leak,
                     form.q_leak,
                     s=budget,
-                    method=method,
                     qp_kwargs=qp_kwargs,
                     warm=_warm_state(warm),
-                    lam_hint=warm.info.get("lam") if warm is not None else None,
                     workspace=solver_ws,
                     time_limit=_budget_left(),
                 )
+                if solve.ok and solve.info.get("budget_slack"):
+                    solve = _least_leakage_at_best_T(solve)
         if solve.failed:
             # never sign off on a failed iterate: no snap, no golden eval
             return solve, None, None, float("nan"), None, float("nan")

@@ -1,8 +1,9 @@
 """Observability CLI: ``python -m repro.obs {report,compare}``.
 
 * ``report <manifest.jsonl>`` -- per-stage wall-time tree, top spans by
-  self time, solver iteration statistics, and merged run-total metrics
-  from one telemetry manifest (``--json`` for machine-readable output).
+  self time, and merged run-total metrics (solver counters and
+  histograms among them) from one telemetry manifest (``--json`` for
+  machine-readable output).
 * ``compare <baseline.json> <current.json>`` -- diff two BENCH_*.json
   benchmark files and exit 1 when a time/speedup metric regressed
   beyond ``--tol`` (the CI perf gate).
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rep = sub.add_parser(
-        "report", help="per-stage wall-time tree + solver/metric stats"
+        "report", help="per-stage wall-time tree + merged run metrics"
     )
     p_rep.add_argument("manifest", help="JSONL run manifest (--trace output)")
     p_rep.add_argument("--json", action="store_true",

@@ -9,7 +9,7 @@ from repro.solver.diagnose import (
     min_achievable_tau,
 )
 from repro.solver.ipm import solve_qp_ipm
-from repro.solver.qcp import METHOD_ADMM, METHOD_IPM, solve_qcp
+from repro.solver.qcp import solve_qcp
 from repro.solver.qp import solve_qp
 from repro.solver.result import (
     FAILURE_STATUSES,
@@ -21,7 +21,7 @@ from repro.solver.result import (
     SolveResult,
     diagnostic_result,
 )
-from repro.solver.robust import solve_qp_robust
+from repro.solver.robust import METHOD_ADMM, METHOD_IPM, solve_qp_robust
 
 __all__ = [
     "solve_qp",

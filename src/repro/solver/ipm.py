@@ -1,14 +1,15 @@
-"""Primal-dual interior-point QP solver (Mehrotra predictor-corrector).
+"""Primal-dual interior-point QP/QCP solver (Mehrotra predictor-corrector).
 
 Solves the same problem as :func:`repro.solver.qp.solve_qp`:
 
     minimize    (1/2) x' P x + q' x
     subject to  l <= A x <= u
 
-by converting the two-sided constraints to inequality form ``G x <= h``
-and running a standard Mehrotra predictor-corrector method on the
-perturbed KKT conditions.  Each iteration factorizes the symmetric
-positive definite normal matrix
+optionally with one convex quadratic row ``(1/2) x'Q x + g'x <= b`` (the
+QCP of :func:`repro.solver.qcp.solve_qcp`), by converting the two-sided
+constraints to inequality form ``G x <= h`` and running a standard
+Mehrotra predictor-corrector method on the perturbed KKT conditions.
+Each iteration factorizes the symmetric positive definite normal matrix
 
     N(w) = P + reg + G' diag(w) G
 
@@ -18,8 +19,15 @@ nearly independent of conditioning, which makes this backend much faster
 than ADMM on the dose-map programs (whose arrival-time variables are
 cost-free and create flat directions that stall first-order methods).
 
+The quadratic row gets its own slack ``t`` and multiplier ``y``.  The
+QCP's objective is linear, so its Hessian is ``y*Q``, which keeps ``N``
+on the pattern of a QP with ``P = Q``; the row's rank-1 term
+``(y/t) a a'`` (``a = Qx + g``) is applied by Sherman-Morrison at one
+extra back-solve per iteration.  Without the row the loop runs exactly
+the QP iteration.
+
 Repeated solves of structurally identical problems (the dose-map
-driver's sweep points, QCP bisection steps, and guard retries) share an
+driver's sweep points, QCP re-solves, and guard retries) share an
 :class:`IPMWorkspace`: the stacked ``G``, the fill-reducing ordering,
 the permuted sparsity of ``N`` and a precomputed scatter operator turn
 the per-iteration normal assembly from two sparse-sparse products into
@@ -47,6 +55,7 @@ from repro.solver.result import (
     STATUS_MAX_ITER,
     STATUS_SOLVED,
     SolveResult,
+    diagnostic_result,
     record_solve,
 )
 
@@ -86,6 +95,48 @@ def _spd_ordering(pattern):
     # kept alive while the workspace builds its long-lived arrays, it
     # pins that free region for good (~10 MB more peak RSS per flow).
     return np.argsort(factor_spd(probe).perm_c)
+
+
+def _symmetric(M):
+    """``(M + M')/2`` in canonical CSC (sorted, no duplicates)."""
+    M = sp.csc_matrix(M)
+    M = 0.5 * (M + M.T)
+    M.sum_duplicates()
+    M.sort_indices()
+    return M
+
+
+class _QuadRow:
+    """The convex quadratic row ``(1/2)x'Qx + g'x <= b`` of a QCP.
+
+    The IPM carries it with its own slack ``t`` and multiplier ``y``.  The
+    QCP's objective is linear, so the Hessian is ``y*Q``, on ``Q``'s
+    pattern for every ``y``: one :class:`IPMWorkspace` serves the run.
+    """
+
+    def __init__(self, Q, g, b):
+        self.Q = _symmetric(Q)
+        self._absQ = abs(self.Q)
+        self.g = np.asarray(g, dtype=float).ravel()
+        self.b = float(b)
+
+    def value(self, x):
+        """``((1/2)x'Qx + g'x, Qx + g)``: the row's value and gradient."""
+        Qx = self.Q @ x
+        return float(0.5 * x @ Qx + self.g @ x), Qx + self.g
+
+    def scale(self, x):
+        """Magnitude the row's residual is measured against: the sum of
+        its terms' magnitudes, which cancel in the row's value."""
+        ax = np.abs(x)
+        terms = 0.5 * ax @ (self._absQ @ ax) + np.abs(self.g) @ ax
+        return max(1.0, abs(self.b), float(terms))
+
+    def hessian(self, y):
+        """``y*Q`` on ``Q``'s pattern."""
+        Q = self.Q
+        return sp.csc_matrix((y * Q.data, Q.indices, Q.indptr),
+                             shape=Q.shape)
 
 
 def _to_inequalities(A, l, u):
@@ -261,6 +312,12 @@ class IPMWorkspace:
         x[self.order] = lu.solve(rhs[self.order])
         return x
 
+    def matvec(self, normal, v):
+        """``N v`` for the permuted ``normal`` of :meth:`normal`."""
+        out = np.empty_like(v)
+        out[self.order] = normal @ v[self.order]
+        return out
+
     def gather_h(self, l, u):
         return np.concatenate(
             [v for v in (u[self.mask_u], -l[self.mask_l]) if v.size]
@@ -296,6 +353,7 @@ def solve_qp_ipm(
     workspace: dict = None,
     reg: float = 1e-9,
     time_limit: float = None,
+    quad: tuple = None,
 ) -> SolveResult:
     """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``.
 
@@ -306,9 +364,10 @@ def solve_qp_ipm(
     warm:
         Optional previous solution state: ``{"x": ..., "z": ...}`` (the
         inequality duals ``z`` come from a previous result's
-        ``info["z"]``).  The primal is shifted to the interior
-        (``s``/``z`` floored away from the boundary), so a neighbor
-        problem's solution is a safe, strictly feasible seed.
+        ``info["z"]``), plus ``"lam"`` seeding the quadratic row's
+        multiplier.  The primal is shifted to the interior (slacks and
+        duals floored away from the boundary), so a neighbor problem's
+        solution is a safe, strictly feasible seed.
     workspace:
         Optional mutable dict; the :class:`IPMWorkspace` built for this
         problem's sparsity is stored under ``"ws"`` and reused by later
@@ -323,38 +382,59 @@ def solve_qp_ipm(
         stops on the current iterate with status ``max_iter`` (noted as
         a time-out in ``info``), so the fallback chain can move on
         instead of spinning.
+    quad:
+        Optional quadratic row ``(Q, g, b)`` with ``Q`` PSD, for a
+        linear objective (``P`` without entries).  Its
+        residual is measured relative to the sum of its terms'
+        magnitudes; a run that does not converge returns its best
+        iterate (smallest scaled KKT residual), since ``r_dual`` can
+        blow up once ``mu`` falls far below the tolerance.
 
     Returns
     -------
     SolveResult
         ``info`` carries ``z`` (inequality duals) for warm-start
-        chaining and ``mu`` (final complementarity).  Degenerate inputs
-        (``l > u``, no finite constraints) and numeric failures come
-        back as diagnostic statuses (``infeasible`` / ``diverged`` /
-        ``ill_conditioned``), never exceptions.
+        chaining and ``mu`` (final complementarity); with ``quad``, also
+        the row's multiplier ``lam``, its slack ``slack`` and its value
+        ``quad`` (``r_prim`` covers the row's residual too).  Degenerate
+        inputs (``l > u``, no finite constraints) and numeric failures
+        come back as diagnostic statuses (``infeasible`` / ``diverged``
+        / ``ill_conditioned``), never exceptions.
     """
     t_start = time.perf_counter()
-    P = sp.csc_matrix(P)
-    P = 0.5 * (P + P.T)
-    P.sum_duplicates()
-    P.sort_indices()
+    P = _symmetric(P)
     q = np.asarray(q, dtype=float).ravel()
     A = sp.csc_matrix(A)
     l = np.asarray(l, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     n = q.size
     short_circuit = prevalidate(P, q, A, l, u, t_start)
+    if short_circuit is not None and quad is not None and short_circuit.ok:
+        # the unconstrained shortcut would drop the quadratic row; the
+        # QCP's fallback chain solves it over unconstrained QPs instead
+        short_circuit = diagnostic_result(
+            STATUS_ILL_CONDITIONED, n,
+            "no finite linear constraints to carry the quadratic row",
+            solve_time=time.perf_counter() - t_start,
+        )
     if short_circuit is not None:
         record_solve("ipm", short_circuit)
         return short_circuit
+    row = None
+    H = P  # the workspace is keyed on the Hessian's pattern
+    if quad is not None:
+        if P.nnz:
+            raise ValueError("a quadratic row needs a linear objective")
+        row = _QuadRow(*quad)
+        H = row.Q
 
     ws = None
     if workspace is not None:
         cand = workspace.get("ws")
-        if isinstance(cand, IPMWorkspace) and cand.matches(P, A, l, u):
+        if isinstance(cand, IPMWorkspace) and cand.matches(H, A, l, u):
             ws = cand
     if ws is None:
-        ws = IPMWorkspace(P, A, l, u)
+        ws = IPMWorkspace(H, A, l, u)
         if workspace is not None:
             workspace["ws"] = ws
     G, Gt = ws.G, ws.Gt
@@ -373,6 +453,7 @@ def solve_qp_ipm(
     x = np.zeros(n)
     s = np.maximum(h - G @ x, 1.0)
     z = np.ones(m)
+    floor = 1.0
     if warm is not None:
         wx = warm.get("x")
         wx = None if wx is None else np.asarray(wx, dtype=float).ravel()
@@ -389,12 +470,23 @@ def solve_qp_ipm(
             ):
                 z = np.maximum(wz, floor)
             warm_started = True
+    if row is not None:
+        # the quadratic row's slack t and multiplier y, seeded like s, z
+        t = max(row.b - row.value(x)[0], floor)
+        y = 1.0
+        wy = warm.get("lam") if warm_started else None
+        if wy is not None and np.isfinite(wy):
+            y = max(float(wy), floor)
+        best = None
 
     def _max_step(v, dv):
         neg = dv < 0
         if not np.any(neg):
             return 1.0
         return min(1.0, float(np.min(-v[neg] / dv[neg])))
+
+    def _max_step_1(v, dv):
+        return 1.0 if dv >= 0 else min(1.0, -v / dv)
 
     status = STATUS_MAX_ITER
     iters_done = max_iter
@@ -409,22 +501,44 @@ def solve_qp_ipm(
             break
         r_dual = P @ x + q + Gt @ z
         r_prim = G @ x + s - h
-        mu = float(s @ z) / m
         rp_norm = float(np.linalg.norm(r_prim, np.inf))
-        rd_norm = float(np.linalg.norm(r_dual, np.inf))
-        trace.append((it, mu, rp_norm, rd_norm))
-
-        if rp_norm <= tol * scale_h and rd_norm <= tol * scale_obj and (
-            mu <= tol
-        ):
+        if row is None:
+            mu = float(s @ z) / m
+            rd_norm = float(np.linalg.norm(r_dual, np.inf))
+            trace.append((it, mu, rp_norm, rd_norm))
+            converged = (
+                rp_norm <= tol * scale_h
+                and rd_norm <= tol * scale_obj
+                and mu <= tol
+            )
+        else:
+            quad_x, a = row.value(x)
+            r_dual = r_dual + y * a
+            r_q = quad_x + t - row.b
+            mu = (float(s @ z) + t * y) / (m + 1)
+            rd_norm = float(np.linalg.norm(r_dual, np.inf))
+            trace.append((it, mu, max(rp_norm, abs(r_q)), rd_norm))
+            # the quadratic row's residual is relative to its terms
+            merit = max(rp_norm / scale_h, rd_norm / scale_obj,
+                        abs(r_q) / row.scale(x), mu)
+            if best is None or merit < best[0]:
+                best = (merit, x, s, z, t, y)
+            converged = merit <= tol
+        if converged:
             status = STATUS_SOLVED
             iters_done = it - 1
             break
 
         # Normal equations: eliminate dz = W^{-1} (G dx - r2), giving
         # (P + G' W^{-1} G) dx = r1 + G' W^{-1} r2 with W = diag(s/z).
+        # A quadratic row adds y*Q to the Hessian and, eliminating
+        # dy = rho (a'dx - r2q) with rho = y/t, the rank-1 term
+        # rho a a' -- applied by Sherman-Morrison, not assembled.
         w_inv = z / s
-        normal = ws.normal(P, w_inv, reg)
+        if row is None:
+            normal = ws.normal(P, w_inv, reg)
+        else:
+            normal = ws.normal(row.hessian(y), w_inv, reg)
         try:
             lu = factor_spd_ordered(normal)
         except RuntimeError:
@@ -435,27 +549,72 @@ def solve_qp_ipm(
             iters_done = it
             break
 
-        def _solve_step(r1, r2):
-            dx = ws.solve(lu, r1 + Gt @ (w_inv * r2))
-            dz = w_inv * (G @ dx - r2)
-            return dx, dz
+        if row is None:
+
+            def _solve_step(r1, r2):
+                dx = ws.solve(lu, r1 + Gt @ (w_inv * r2))
+                dz = w_inv * (G @ dx - r2)
+                return dx, dz
+
+        else:
+            rho = y / t
+            n_a = ws.solve(lu, a)
+            denom = 1.0 + rho * float(a @ n_a)
+
+            def _sm_solve(rhs):
+                v = ws.solve(lu, rhs)
+                return v - n_a * (rho * float(a @ v) / denom)
+
+            def _solve_step(r1, r2, r2q):
+                rhs = r1 + Gt @ (w_inv * r2) + (rho * r2q) * a
+                dx = _sm_solve(rhs)
+                # one step of iterative refinement: the rank-1 update
+                # loses digits as t -> 0 and would stall r_dual
+                dx = dx + _sm_solve(
+                    rhs - ws.matvec(normal, dx) - (rho * float(a @ dx)) * a
+                )
+                dz = w_inv * (G @ dx - r2)
+                dy = rho * (float(a @ dx) - r2q)
+                return dx, dz, dy
 
         # --- affine (predictor) step
-        dx_a, dz_a = _solve_step(-r_dual, -r_prim + s)
+        if row is None:
+            dx_a, dz_a = _solve_step(-r_dual, -r_prim + s)
+        else:
+            dx_a, dz_a, dy_a = _solve_step(-r_dual, -r_prim + s, -r_q + t)
+            dt_a = -t - (t / y) * dy_a
         ds_a = -s - (s / z) * dz_a
 
         alpha_a = min(_max_step(s, ds_a), _max_step(z, dz_a))
-        mu_aff = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a)) / m
+        if row is None:
+            mu_aff = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a)) / m
+        else:
+            alpha_a = min(alpha_a, _max_step_1(t, dt_a), _max_step_1(y, dy_a))
+            mu_aff = (
+                float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a))
+                + (t + alpha_a * dt_a) * (y + alpha_a * dy_a)
+            ) / (m + 1)
         sigma = (mu_aff / max(mu, 1e-300)) ** 3
 
         # --- corrector step
         rc = -s * z - ds_a * dz_a + sigma * mu
-        dx, dz = _solve_step(-r_dual, -r_prim - rc / z)
+        if row is None:
+            dx, dz = _solve_step(-r_dual, -r_prim - rc / z)
+        else:
+            rc_q = -t * y - dt_a * dy_a + sigma * mu
+            dx, dz, dy = _solve_step(-r_dual, -r_prim - rc / z,
+                                     -r_q - rc_q / y)
+            dt = (rc_q - t * dy) / y
         ds = (rc - s * dz) / z
 
         eta = 0.99 if mu > 1e-6 else 0.999
-        alpha = eta * min(_max_step(s, ds), _max_step(z, dz))
+        alpha = min(_max_step(s, ds), _max_step(z, dz))
         x_prev, s_prev, z_prev = x, s, z
+        if row is not None:
+            alpha = min(alpha, _max_step_1(t, dt), _max_step_1(y, dy))
+            t_prev, y_prev = t, y
+            t, y = t + eta * alpha * dt, y + eta * alpha * dy
+        alpha = eta * alpha
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
@@ -464,33 +623,53 @@ def solve_qp_ipm(
             np.all(np.isfinite(x))
             and np.all(np.isfinite(s))
             and np.all(np.isfinite(z))
+            and (row is None or np.isfinite(t * y))
         ):
             # numeric blow-up: restore the last finite iterate and stamp
             # the result so callers cannot mistake it for a solution
             x, s, z = x_prev, s_prev, z_prev
+            if row is not None:
+                t, y = t_prev, y_prev
             status = STATUS_DIVERGED
             iters_done = it
             break
-        if float(np.abs(z).max()) > 1e14:
+        if float(np.abs(z).max()) > 1e14 or (row is not None and y > 1e14):
             # an infeasible problem drives the duals to infinity while
             # the primal residual stalls
             status = STATUS_INFEASIBLE
             iters_done = it
             break
 
+    if row is not None and status != STATUS_SOLVED and best is not None:
+        # a stalled or broken-down run returns its best iterate: past
+        # it, mu can keep shrinking while r_dual blows up
+        _, x, s, z, t, y = best
     r_dual = P @ x + q + Gt @ z
     r_prim = G @ x + s - h
-    mu = float(s @ z) / m
+    if row is None:
+        mu = float(s @ z) / m
+        rq_ok = True
+    else:
+        quad_x, a = row.value(x)
+        r_dual = r_dual + y * a
+        r_q = quad_x + t - row.b
+        mu = (float(s @ z) + t * y) / (m + 1)
+        rq_ok = abs(r_q) <= 10 * tol * row.scale(x)
     if (
         status != STATUS_SOLVED
         and np.linalg.norm(r_prim, np.inf) <= 10 * tol * scale_h
         and np.linalg.norm(r_dual, np.inf) <= 10 * tol * scale_obj
         and mu <= 10 * tol
+        and rq_ok
     ):
         status = STATUS_SOLVED
 
     obj = float(0.5 * x @ (P @ x) + q @ x)
     info = {"mu": mu, "z": z}
+    rp_final = float(np.linalg.norm(r_prim, np.inf))
+    if row is not None:
+        info.update(lam=float(y), slack=float(t), quad=float(quad_x))
+        rp_final = max(rp_final, abs(float(r_q)))
     if status in (STATUS_DIVERGED, STATUS_ILL_CONDITIONED):
         info["note"] = (
             "non-finite iterate: last finite iterate returned"
@@ -507,7 +686,7 @@ def solve_qp_ipm(
         x=x,
         obj=obj,
         iterations=iters_done,
-        r_prim=float(np.linalg.norm(r_prim, np.inf)),
+        r_prim=rp_final,
         r_dual=float(np.linalg.norm(r_dual, np.inf)),
         solve_time=time.perf_counter() - t_start,
         info=info,
@@ -515,4 +694,3 @@ def solve_qp_ipm(
     )
     record_solve("ipm", result)
     return result
-

@@ -1,36 +1,34 @@
-"""Quadratically constrained program solver via exact Lagrangian root-finding.
+"""Quadratically constrained program solver: one primal-dual IPM run.
 
 The paper's QCP ("minimize T subject to ... DeltaLeakage <= xi") has a
 linear objective, linear constraints, and exactly **one convex quadratic
-constraint**.  For this structure, strong duality lets us solve it as a
-one-dimensional search: dualize the quadratic constraint with multiplier
-lam >= 0, solve the resulting QP
+constraint**.  :func:`solve_qcp` solves it the way the paper does with a
+barrier method: one Mehrotra interior-point run in which the budget
+``(1/2)x'Qx + g'x <= s`` is one more inequality, with its own slack
+``t`` and multiplier ``y`` (see :func:`repro.solver.ipm.solve_qp_ipm`).
+The run goes through :func:`repro.solver.robust.solve_qp_robust`, whose
+chain for a QCP is
 
-    min  c'x + lam * ((1/2) x'Q x + g'x - s)   s.t.  l <= A x <= u,
+1. the one-shot IPM, warm from ``{x, z, lam}`` when seeded;
+2. a cold retry with the IPM regularized at ``RETRY_REG``;
+3. :func:`bisect_qcp`, the Lagrangian root search over QP solves, as
+   the last step (it also attributes an infeasible verdict to the
+   linear system or to an unattainable budget).
 
-and drive the constraint value h(lam) = (1/2)x'Qx + g'x - s to zero.
-h(lam) is non-increasing in lam.  The search brackets the root
-geometrically (lam grows tenfold from a small start, or from a
-neighbor's multiplier) and then bisects the bracket -- in log space
-once its lower end is positive -- until it is ``lam_tol`` tight or
-h(lam) is within the feasibility tolerance.
-
-Two inner backends are available: the ADMM solver (warm-startable) and
-the interior-point solver (faster on the ill-conditioned dose-map
-programs; the default for DMopt).
+A budget that is slack at the optimum reports ``lam == 0.0``: the final
+pair counts as slack when ``t/scale_q > y*scale_q/scale_obj``, with
+``scale_q = max(1, |s|)`` and ``scale_obj = max(1, |c|_inf)``.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
 from repro.obs import metrics
-from repro.solver.robust import METHOD_ADMM, METHOD_IPM, solve_qp_robust
+from repro.solver.robust import METHOD_IPM, solve_qp_robust
 from repro.solver.result import STATUS_MAX_ITER, SolveResult
 
 
@@ -49,10 +47,8 @@ def solve_qcp(
     lam_tol: float = 1e-3,
     feas_tol: float = 1e-4,
     max_root_steps: int = 30,
-    method: str = METHOD_ADMM,
     qp_kwargs: dict = None,
     warm: dict = None,
-    lam_hint: float = None,
     workspace: dict = None,
     time_limit: float = None,
 ) -> SolveResult:
@@ -66,52 +62,125 @@ def solve_qcp(
         Linear constraints.
     Q, g, s:
         The convex quadratic constraint (Q PSD).
-    lam_tol:
-        Relative tolerance on the multiplier bracket.
-    feas_tol:
-        Acceptable relative violation of the quadratic constraint,
-        measured against ``max(1, |s|)``.
-    method:
-        Inner QP backend: ``"admm"`` or ``"ipm"``.
+    lam_tol, feas_tol, max_root_steps:
+        Tolerances of the bisection fallback (see :func:`bisect_qcp`).
+    qp_kwargs:
+        Extra keyword arguments for the IPM (``max_iter``, ``tol``).
     warm:
-        Optional previous solution state (``{"x": ...}``, plus ``"z"``
-        for IPM or ``"y"`` for ADMM) seeding the *first* inner solve;
-        later inner solves always chain from their predecessor.
-    lam_hint:
-        Optional previous optimal multiplier (``info["lam"]``): the
-        bracket starts there instead of at 1e-4, so a neighbor problem's
-        root is re-found in a couple of inner solves.
+        Optional previous solution state ``{"x", "z", "lam"}`` (a
+        previous result's ``x`` and ``info["z"]`` / ``info["lam"]``)
+        seeding the one-shot IPM.
     workspace:
-        Mutable dict carrying the IPM's pattern workspace across inner
-        solves and across calls (see :func:`solve_qp_ipm`).
+        Mutable dict carrying the IPM's pattern workspace across calls
+        (see :func:`solve_qp_ipm`).
     time_limit:
-        Wall-clock budget in seconds shared by the whole root search:
-        every inner solve gets the remaining time, and an exhausted
-        budget stops the search on the best bracketed iterate (status
-        ``max_iter``).
+        Wall-clock budget in seconds shared by the whole fallback chain.
 
     Returns
     -------
     SolveResult
-        ``info`` carries the final multiplier ``lam``, the constraint
-        value ``quad``, and the number of inner solves.
+        ``info`` carries the multiplier ``lam`` (exactly 0 for a slack
+        budget, flagged by ``budget_slack``), the constraint value
+        ``quad``, the IPM duals ``z``, the number of IPM solves
+        ``inner_solves`` (1 on the happy path) and the chain's
+        ``attempts``.
+    """
+    t_start = time.perf_counter()
+    c = np.asarray(c, dtype=float).ravel()
+    g = np.asarray(g, dtype=float).ravel()
+    Q = sp.csc_matrix(Q)
+    s = float(s)
+    n = c.size
+
+    def bisection(time_limit):
+        return bisect_qcp(
+            c, A, l, u, Q, g, s,
+            lam_tol=lam_tol,
+            feas_tol=feas_tol,
+            max_root_steps=max_root_steps,
+            qp_kwargs=qp_kwargs,
+            workspace=workspace,
+            time_limit=time_limit,
+        )
+
+    res = solve_qp_robust(
+        sp.csc_matrix((n, n)),
+        c,
+        A,
+        l,
+        u,
+        qp_kwargs=qp_kwargs,
+        warm=warm,
+        workspace=workspace,
+        time_limit=time_limit,
+        quad=(Q, g, s),
+        fallback=bisection,
+    )
+    info = dict(res.info)
+    info["inner_solves"] = info.get("inner_solves", 0) + sum(
+        a["backend"] == METHOD_IPM for a in info["attempts"]
+    )
+    if "slack" in info:  # the one-shot IPM's own pair (t, y)
+        scale_q = max(1.0, abs(s))
+        scale_obj = max(1.0, float(np.linalg.norm(c, np.inf)))
+        slack = info["slack"] / scale_q > info["lam"] * scale_q / scale_obj
+        info["budget_slack"] = bool(slack)
+        if slack:
+            info["lam"] = 0.0
+    metrics.inc("solver.qcp.solves")
+    metrics.inc(f"solver.qcp.status.{res.status}")
+    metrics.observe("solver.qcp.inner_solves", info["inner_solves"])
+    return SolveResult(
+        status=res.status,
+        x=res.x,
+        obj=float(c @ res.x),
+        iterations=res.iterations,
+        r_prim=res.r_prim,
+        r_dual=res.r_dual,
+        solve_time=time.perf_counter() - t_start,
+        info=info,
+        warm_started=res.warm_started,
+    )
+
+
+def bisect_qcp(
+    c,
+    A,
+    l,
+    u,
+    Q,
+    g,
+    s,
+    lam_tol: float = 1e-3,
+    feas_tol: float = 1e-4,
+    max_root_steps: int = 30,
+    qp_kwargs: dict = None,
+    workspace: dict = None,
+    time_limit: float = None,
+) -> SolveResult:
+    """The QCP by exact Lagrangian root-finding over cold QP solves.
+
+    Strong duality turns the QCP into a one-dimensional search: dualize
+    the quadratic constraint with multiplier lam >= 0, solve the QP
+
+        min  c'x + lam * ((1/2) x'Q x + g'x - s)   s.t.  l <= A x <= u,
+
+    and drive h(lam) = (1/2)x'Qx + g'x - s to zero.  h(lam) is
+    non-increasing in lam.  The search brackets the root geometrically
+    (lam grows tenfold from 1e-4) and then bisects the bracket -- in
+    log space once its lower end is positive -- until it is ``lam_tol``
+    tight or h(lam) is within ``feas_tol`` (relative to
+    ``max(1, |s|)``).  An exhausted ``time_limit`` stops the search on
+    the best bracketed iterate.  ``info`` carries ``lam``, ``quad`` and
+    the number of QP solves ``inner_solves``.
     """
     t_start = time.perf_counter()
     qp_kwargs = dict(qp_kwargs or {})
-    if method not in (METHOD_ADMM, METHOD_IPM):
-        raise ValueError(f"method must be 'admm' or 'ipm', got {method!r}")
     c = np.asarray(c, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
     Q = sp.csc_matrix(Q)
     scale = max(1.0, abs(float(s)))
-
     total_iters = 0
-    state = dict(warm) if warm else {}
-    warm_started = bool(state)
-    # root-search convergence trace (ring buffer; entries are
-    # (inner_solve, lam, h) with h the quadratic-constraint violation),
-    # attached to info["brackets"]
-    brackets = deque(maxlen=obs.TRACE_MAXLEN)
     deadline = (
         t_start + float(time_limit) if time_limit is not None else None
     )
@@ -120,16 +189,14 @@ def solve_qcp(
         return deadline is not None and time.perf_counter() >= deadline
 
     def inner(lam: float):
-        nonlocal total_iters, state
+        nonlocal total_iters
         res = solve_qp_robust(
             lam * Q,
             c + lam * g,
             A,
             l,
             u,
-            method=method,
             qp_kwargs=qp_kwargs,
-            warm=state or None,
             workspace=workspace,
             time_limit=(
                 max(deadline - time.perf_counter(), 1e-3)
@@ -137,44 +204,24 @@ def solve_qcp(
                 else None
             ),
         )
-        # chain state from whichever backend produced the result (the
-        # fallback chain may have switched: z is the IPM dual, y ADMM's)
-        state = {
-            k: v
-            for k, v in (
-                ("x", res.x),
-                ("z", res.info.get("z")),
-                ("y", res.info.get("y")),
-            )
-            if v is not None
-        }
-        if res.failed:
-            state = {}  # a failed iterate is a poisonous seed
         total_iters += res.iterations
         return res
 
-    def h_of(res, lam: float) -> float:
-        h = _quad_value(Q, g, res.x) - s
-        brackets.append((len(brackets) + 1, float(lam), h))
-        return h
+    def h_of(res) -> float:
+        return _quad_value(Q, g, res.x) - s
 
     def _package(res, lam, steps, status=None, note=None):
         info = {
             "lam": lam,
             "quad": _quad_value(Q, g, res.x),
             "inner_solves": steps,
-            "brackets": list(brackets),
         }
+        if res.info.get("z") is not None:
+            info["z"] = res.info["z"]
         if note:
             info["note"] = note
-        if "attempts" in res.info:
-            info["attempts"] = res.info["attempts"]
-        final_status = status or res.status
-        metrics.inc("solver.qcp.solves")
-        metrics.inc(f"solver.qcp.status.{final_status}")
-        metrics.observe("solver.qcp.inner_solves", steps)
         return SolveResult(
-            status=final_status,
+            status=status or res.status,
             x=res.x,
             obj=float(c @ res.x),
             iterations=total_iters,
@@ -182,7 +229,6 @@ def solve_qcp(
             r_dual=res.r_dual,
             solve_time=time.perf_counter() - t_start,
             info=info,
-            warm_started=warm_started,
         )
 
     # lam = 0: if already feasible we are done (constraint slack).
@@ -198,24 +244,17 @@ def solve_qcp(
             note="linear constraint system failed at lam=0: "
             + res_lo.info.get("note", res_lo.status),
         )
-    h0 = h_of(res_lo, 0.0)
+    h0 = h_of(res_lo)
     if h0 <= feas_tol * scale:
         return _package(res_lo, 0.0, steps)
     h_scale = max(abs(h0), scale)
 
     # bracket geometrically from a small multiplier: the optimal lam is
     # the marginal objective cost per unit of quadratic budget, which for
-    # the dose-map programs is typically far below 1.  A neighbor
-    # problem's multiplier (lam_hint) lands the bracket near the root
-    # immediately.
-    lam_lo = 0.0
-    lam_hi = (
-        float(lam_hint)
-        if lam_hint is not None and np.isfinite(lam_hint) and lam_hint > 0
-        else 1e-4
-    )
+    # the dose-map programs is typically far below 1
+    lam_lo, lam_hi = 0.0, 1e-4
     res_hi = inner(lam_hi)
-    h_hi = h_of(res_hi, lam_hi)
+    h_hi = h_of(res_hi)
     steps += 1
     while h_hi > feas_tol * h_scale:
         if out_of_time():
@@ -235,7 +274,7 @@ def solve_qcp(
                 res_hi, lam_hi, steps,
                 note="inner solve failed during bracket expansion",
             )
-        h_hi = h_of(res_hi, lam_hi)
+        h_hi = h_of(res_hi)
         if lam_hi > 1e12:
             return _package(
                 res_hi,
@@ -269,7 +308,7 @@ def solve_qcp(
         steps += 1
         if res_mid.failed:
             break  # keep the best bracketed iterate found so far
-        h_mid = h_of(res_mid, lam_mid)
+        h_mid = h_of(res_mid)
         if h_mid <= feas_tol * h_scale:
             lam_hi, h_hi, res_hi = lam_mid, h_mid, res_mid
             best, best_lam = res_mid, lam_mid

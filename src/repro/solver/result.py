@@ -40,7 +40,9 @@ class SolveResult:
     obj:
         Objective value at ``x``.
     iterations:
-        ADMM iterations used (summed over bisection steps for QCP).
+        Iterations of the attempt that produced the result (IPM or
+        ADMM; for a QCP answered by the bisection fallback, summed over
+        its QP solves).
     r_prim, r_dual:
         Final unscaled primal/dual residual infinity norms.
     solve_time:
@@ -50,8 +52,8 @@ class SolveResult:
         fallback chain's ``attempts`` trail, or a diagnostic ``note``).
     warm_started:
         True when the solve was seeded from a previous solution (sweep
-        neighbor, QCP bisection predecessor, or guard retry) rather than
-        the solver's cold default point.
+        neighbor, a QCP's previous ``{x, z, lam}``, or guard retry)
+        rather than the solver's cold default point.
     """
 
     status: str

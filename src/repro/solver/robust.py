@@ -5,7 +5,7 @@ ill-conditioned normal matrix (singular SuperLU factorization), a
 diverging Mehrotra step, or a warm-start seed that blows up the first
 scaling matrix.  :func:`solve_qp_robust` wraps the two QP backends in a
 status-driven chain so callers (:func:`repro.core.dmopt.optimize_dose_map`,
-the QCP bisection, dosePl) never see an uncaught exception for a
+the QCP solver, dosePl) never see an uncaught exception for a
 recoverable numeric failure:
 
 1. primary backend (IPM by default) with the caller's warm state;
@@ -20,6 +20,12 @@ recoverable numeric failure:
 ``infeasible`` is not retried across backends -- no solver can fix an
 infeasible problem -- but a warm-started infeasible verdict is
 re-checked cold once, since a bad seed can masquerade as dual blow-up.
+
+A QCP (a ``quad`` row, see :func:`repro.solver.qcp.solve_qcp`) runs the
+same first two steps on the one-shot IPM; its last step is the caller's
+``fallback`` (the Lagrangian bisection) in place of ADMM, which also
+takes an IPM ``infeasible`` verdict to attribute it.
+
 The full attempt trail is recorded in ``info["attempts"]``; every step
 past the primary one also counts into the ``solver.fallback.attempts``
 and ``solver.fallback.step.<step>`` metrics.
@@ -86,6 +92,8 @@ def solve_qp_robust(
     warm: dict = None,
     workspace: dict = None,
     time_limit: float = None,
+    quad: tuple = None,
+    fallback=None,
 ) -> SolveResult:
     """QP solve with the fallback/retry chain (see module docstring).
 
@@ -112,6 +120,18 @@ def solve_qp_robust(
         next step, and when the budget is exhausted the best attempt so
         far is returned (status ``max_iter``) instead of starting
         another backend.
+    quad:
+        Optional convex quadratic row ``(Q, g, b)``, i.e.
+        ``(1/2)x'Qx + g'x <= b``, which makes the problem a QCP.  Only
+        the IPM carries it (see :func:`solve_qp_ipm`), so ``fallback``
+        must be given too.
+    fallback:
+        The QCP's last step in place of the other backend: a callable
+        taking the remaining time budget (None = unlimited) and
+        returning a :class:`SolveResult`, which is the chain's verdict.
+        It also takes an IPM ``infeasible`` verdict, which cannot tell
+        an infeasible linear system from an unattainable budget.  Its
+        attempt is logged under the callable's ``__name__``.
 
     Returns
     -------
@@ -123,6 +143,8 @@ def solve_qp_robust(
     """
     if method not in (METHOD_ADMM, METHOD_IPM):
         raise ValueError(f"method must be 'admm' or 'ipm', got {method!r}")
+    if quad is not None and (method != METHOD_IPM or fallback is None):
+        raise ValueError("a quadratic row needs the IPM and a fallback")
     qp_kwargs = dict(qp_kwargs or {})
     attempts = []
     results = []
@@ -158,11 +180,13 @@ def solve_qp_robust(
             if rem is not None:
                 extra["time_limit"] = max(rem, 1e-3)
             if backend == METHOD_IPM:
-                res = _ipm(P, q, A, l, u, qp_kwargs=qp_kwargs,
+                res = _ipm(P, q, A, l, u, qp_kwargs=qp_kwargs, quad=quad,
                            **extra, **call_kwargs)
-            else:
+            elif backend == METHOD_ADMM:
                 res = _admm(P, q, A, l, u, call_kwargs.get("warm"),
                             qp_kwargs, **extra)
+            else:
+                res = fallback(extra.get("time_limit"))
         attempts.append(
             {
                 "step": step,
@@ -204,6 +228,16 @@ def solve_qp_robust(
     res = run(primary, primary, warm=warm, workspace=workspace)
     if res.ok:
         return finish(res)
+
+    if fallback is not None:
+        if res.status != STATUS_INFEASIBLE:
+            res = run("ipm-regularized", METHOD_IPM, reg=RETRY_REG)
+            if res.ok:
+                return finish(res)
+        if out_of_time():
+            return best_effort("solver time budget exhausted")
+        name = fallback.__name__
+        return finish(run(name, name))
 
     if res.status == STATUS_INFEASIBLE:
         if not res.warm_started:

@@ -1,8 +1,8 @@
 """Warm-start regression tests: fewer iterations, same golden answers.
 
 Covers the whole warm-start chain: solver-level seeds (IPM ``warm``/
-``workspace``, ADMM ``x0``/``y0``), the QCP bisection's intra-solve
-state threading, and the DMopt-level ``warm_start=`` plumbing used by
+``workspace``, ADMM ``x0``/``y0``), the QCP's ``{x, z, lam}`` seed of
+its one-shot IPM, and the DMopt-level ``warm_start=`` plumbing used by
 :func:`repro.core.dmopt_dose_range_sweep`.
 """
 
@@ -103,7 +103,7 @@ class TestQCPWarmStart:
         assert warm.mct == pytest.approx(cold.mct, abs=1e-6)
         assert warm.leakage == pytest.approx(cold.leakage, rel=1e-6)
 
-    def test_qcp_lam_hint_and_state(self):
+    def test_qcp_warm_state_with_multiplier(self):
         n = 20
         rng = np.random.default_rng(7)
         c = -np.abs(rng.standard_normal(n))  # push x to its bounds
@@ -112,12 +112,12 @@ class TestQCPWarmStart:
         Q = sp.eye(n, format="csc")
         g = np.zeros(n)
         s = 0.25 * n  # binding: ||x||^2/2 <= s < n/2
-        cold = solve_qcp(c, A, l, u, Q, g, s, method="ipm")
+        cold = solve_qcp(c, A, l, u, Q, g, s)
         assert cold.ok and not cold.warm_started
         assert cold.info["lam"] > 0
         warm = solve_qcp(
-            c, A, l, u, Q, g, s, method="ipm",
-            warm={"x": cold.x}, lam_hint=cold.info["lam"],
+            c, A, l, u, Q, g, s,
+            warm={"x": cold.x, "z": cold.info["z"], "lam": cold.info["lam"]},
         )
         assert warm.ok and warm.warm_started
         assert warm.iterations < cold.iterations
